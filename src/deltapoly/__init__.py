@@ -6,6 +6,7 @@ from .series import (
     DEFAULT_ORDER,
     FormalPowerSeries,
     Poly,
+    PolySequence,
     format_rational,
     fps_compose,
     fps_diff,
@@ -29,16 +30,9 @@ from .delta import (
     basic_sequence_generic,
     binomial_identity_check,
     f_series,
-    random_triples,
 )
 from .fuss import FussSeries, fuss_number, fuss_series
-from .bessel import (
-    BesselPolySeq,
-    bessel_egf_check,
-    bessel_poly,
-    carlitz_w,
-    w_bessel_relation_check,
-)
+from .bessel import CARLITZ, bessel_egf_check, bessel_poly, w_bessel_relation_check
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -65,22 +59,23 @@ from .distributions import (
     moment,
     moment_quadrature,
     semigroup_check,
+    worst_abs_dev,
 )
 from .sequences import SEQUENCE_IDS, SPECS, SequenceSpec, crosscheck, generate
-from .verify import CRITERIA, CriterionResult, run_all
+from .verify import CRITERIA, REPORT_TOL, CriterionResult, random_triples, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbTriple", "BesselMeasure", "BesselPolySeq", "BinomialSequence",
-    "CRITERIA", "CriterionResult", "DEFAULT_CONFIG", "DEFAULT_ORDER",
-    "DeltaOperator", "Dilated", "DistSpec", "FormalPowerSeries",
-    "FussSeries", "GammaHalf", "InverseGaussian", "Poly", "QuadResult",
-    "QuadratureConfig", "QuadratureError", "Report", "SEQUENCE_IDS",
-    "SPECS", "SequenceSpec", "apply_delta", "basic_sequence_closed",
-    "basic_sequence_generic", "bessel_egf_check", "bessel_k_half",
-    "bessel_k_quadrature", "bessel_poly", "binomial_identity_check",
-    "carlitz_w", "char_fun", "char_fun_quadrature",
+    "AbTriple", "BesselMeasure", "BinomialSequence", "CARLITZ", "CRITERIA",
+    "CriterionResult", "DEFAULT_CONFIG", "DEFAULT_ORDER", "DeltaOperator",
+    "Dilated", "DistSpec", "FormalPowerSeries", "FussSeries", "GammaHalf",
+    "InverseGaussian", "Poly", "PolySequence", "QuadResult",
+    "QuadratureConfig", "QuadratureError", "REPORT_TOL", "Report",
+    "SEQUENCE_IDS", "SPECS", "SequenceSpec", "apply_delta",
+    "basic_sequence_closed", "basic_sequence_generic", "bessel_egf_check",
+    "bessel_k_half", "bessel_k_quadrature", "bessel_poly",
+    "binomial_identity_check", "char_fun", "char_fun_quadrature",
     "convolution_factorization_check", "crosscheck", "density",
     "f_series", "format_rational", "fps_compose", "fps_diff", "fps_exp",
     "fps_recip", "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",
@@ -88,5 +83,5 @@ __all__ = [
     "kolmogorov_check", "moment", "moment_quadrature", "parse_rational",
     "poly_diff", "poly_eval", "poly_from_strings", "poly_to_strings",
     "random_triples", "run_all", "semigroup_check", "taylor_shift",
-    "w_bessel_relation_check",
+    "w_bessel_relation_check", "worst_abs_dev",
 ]

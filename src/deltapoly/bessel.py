@@ -19,13 +19,13 @@ Everything in this module is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .delta import BinomialSequence
+from .delta import AbTriple, basic_sequence_closed
 from .series import (
     FormalPowerSeries,
     Poly,
+    PolySequence,
     RationalLike,
     fps_exp,
     fps_recip,
@@ -34,23 +34,12 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class BesselPolySeq:
-    """Bessel polynomials y_0..y_n; y_n has degree n and y_n(0) = 1."""
-
-    polys: tuple[Poly, ...]
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __getitem__(self, n: int) -> Poly:
-        return self.polys[n]
-
-    def __iter__(self):
-        return iter(self.polys)
+#: D - D**2/2: its basic polynomials are the reversed Bessel polynomials.
+CARLITZ = AbTriple(Fraction(1), Fraction(1, 2), 1)
 
 
-def bessel_poly(nmax: int) -> BesselPolySeq:
+def bessel_poly(nmax: int) -> PolySequence:
+    """Bessel polynomials y_0..y_nmax; y_n has degree n and y_n(0) = 1."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     polys = []
@@ -60,24 +49,7 @@ def bessel_poly(nmax: int) -> BesselPolySeq:
             for j in range(n + 1)
         ]
         polys.append(Poly(coeffs))
-    return BesselPolySeq(tuple(polys))
-
-
-def carlitz_w(nmax: int) -> BinomialSequence:
-    """The basic sequence of D - D**2/2 from its own explicit sum, not
-    from the generic solver or the (a, b, p) closed form."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    polys = [Poly([1])]
-    for n in range(1, nmax + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        for j in range(n):
-            coeffs[n - j] = Fraction(
-                math.factorial(n + j - 1),
-                math.factorial(j) * math.factorial(n - j - 1) * 2**j,
-            )
-        polys.append(Poly(coeffs))
-    return BinomialSequence(tuple(polys), source="carlitz")
+    return PolySequence(tuple(polys))
 
 
 def w_bessel_relation_check(nmax: int) -> bool:
@@ -87,13 +59,11 @@ def w_bessel_relation_check(nmax: int) -> bool:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    ws = carlitz_w(nmax)
+    ws = basic_sequence_closed(CARLITZ, nmax)
     ys = bessel_poly(nmax - 1)
     for n in range(1, nmax + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        for j, c in enumerate(ys[n - 1].coeffs):
-            coeffs[n - j] = c
-        if Poly(coeffs) != ws[n]:
+        # t^n y_{n-1}(1/t) has the coefficients of y_{n-1} reversed, above a zero
+        if Poly([0, *reversed(ys[n - 1].coeffs)]) != ws[n]:
             return False
     return True
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,16 +37,13 @@ from .distributions import (
     kolmogorov_check,
     moment_quadrature,
     semigroup_check,
+    worst_abs_dev,
 )
 from .fuss import fuss_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
 from .sequences import SEQUENCE_IDS, generate
 from .series import format_rational, parse_rational, poly_to_strings
-from .verify import (
-    TOL_FACTORIZATION_ABS,
-    TOL_NORMALIZATION_ABS,
-    run_all,
-)
+from .verify import REPORT_TOL, run_all
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,11 +60,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _float_list(text: str) -> list[float]:
+def _real(text: str) -> float:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of reals: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite real: {text!r}")
+    return value
+
+
+def _real_list(text: str) -> list[float]:
+    values = [_real(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a nonempty comma-separated list: {text!r}")
+    return values
 
 
 def _fmt_real(x: float) -> str:
@@ -77,6 +85,17 @@ def _fmt_value(v):
     if isinstance(v, complex):
         return {"re": _fmt_real(v.real), "im": _fmt_real(v.imag)}
     return _fmt_real(v)
+
+
+def _echo(v):
+    """A parsed option as the envelope's `parameters` shows it."""
+    if isinstance(v, list):
+        return [_echo(x) for x in v]
+    if isinstance(v, float):
+        return _fmt_real(v)
+    if isinstance(v, Fraction):
+        return str(v)
+    return v
 
 
 def _report_dict(r: Report) -> dict:
@@ -91,7 +110,7 @@ def _report_dict(r: Report) -> dict:
 
 
 def _config(args) -> QuadratureConfig:
-    if getattr(args, "quad_tol", None) is None:
+    if args.quad_tol is None:
         return DEFAULT_CONFIG
     return QuadratureConfig(rel_tol=args.quad_tol)
 
@@ -99,94 +118,65 @@ def _config(args) -> QuadratureConfig:
 _DISTS = {"ig": InverseGaussian, "gamma": GammaHalf, "bessel": BesselMeasure}
 
 
-def _cmd_basic_poly(args):
+# Each handler maps parsed options to (result, diagnostics, exit code).
+
+def _basic_poly(args):
     abp = AbTriple(args.a, args.b, args.p)
     if args.method == "closed":
         seq = basic_sequence_closed(abp, args.n)
     else:
         seq = basic_sequence_generic(DeltaOperator.from_ab(abp, order=max(args.n, 1)), args.n)
-    params = {"a": str(abp.a), "b": str(abp.b), "p": abp.p, "n": args.n,
-              "method": args.method}
-    return params, {"n": args.n, "coeffs": poly_to_strings(seq[args.n])}, None, 0
+    return {"n": args.n, "coeffs": poly_to_strings(seq[args.n])}, None, 0
 
 
-def _cmd_f_series(args):
-    abp = AbTriple(args.a, args.b, args.p)
-    f = f_series(abp, args.order)
-    params = {"a": str(abp.a), "b": str(abp.b), "p": abp.p, "order": args.order}
-    return params, {"order": args.order,
-                    "coeffs": [format_rational(c) for c in f.coeffs]}, None, 0
+def _f_series(args):
+    f = f_series(AbTriple(args.a, args.b, args.p), args.order)
+    return {"order": args.order, "coeffs": [format_rational(c) for c in f.coeffs]}, None, 0
 
 
-def _cmd_fuss(args):
+def _fuss(args):
     fs = fuss_series(args.p, args.order)
-    params = {"p": args.p, "order": args.order}
-    return params, {"p": args.p, "order": args.order,
-                    "coeffs": [format_rational(c) for c in fs.series.coeffs]}, None, 0
+    return {"p": args.p, "order": args.order,
+            "coeffs": [format_rational(c) for c in fs.series.coeffs]}, None, 0
 
 
-def _cmd_bessel_poly(args):
-    ys = bessel_poly(args.n)
-    params = {"n": args.n}
-    return params, {"n": args.n, "coeffs": poly_to_strings(ys[args.n])}, None, 0
+def _bessel_poly(args):
+    return {"n": args.n, "coeffs": poly_to_strings(bessel_poly(args.n)[args.n])}, None, 0
 
 
-def _cmd_egf_check(args):
+def _egf_check(args):
     holds = bessel_egf_check(args.t, args.order)
-    params = {"t": str(args.t), "order": args.order}
-    return params, {"holds": holds}, None, 0 if holds else 1
+    return {"holds": holds}, None, 0 if holds else 1
 
 
-def _cmd_moments(args):
-    dist = _DISTS[args.dist](args.t)
-    q = moment_quadrature(dist, args.n, _config(args))
-    params = {"dist": args.dist, "t": _fmt_real(args.t), "n": args.n}
-    return params, {"value": _fmt_real(q.value)}, {"quad_error": _fmt_real(q.error)}, 0
+def _moments(args):
+    q = moment_quadrature(_DISTS[args.dist](args.t), args.n, _config(args))
+    return {"value": _fmt_real(q.value)}, {"quad_error": _fmt_real(q.error)}, 0
 
 
-def _cmd_semigroup_check(args):
-    reports = semigroup_check(args.s, args.t, args.points, _config(args))
-    worst = max(r.abs_dev for r in reports)
-    passed = worst < args.tol
-    params = {"s": _fmt_real(args.s), "t": _fmt_real(args.t),
-              "points": [_fmt_real(u) for u in args.points], "tol": _fmt_real(args.tol)}
-    result = {"passed": passed, "max_abs_dev": _fmt_real(worst)}
-    return params, result, {"reports": [_report_dict(r) for r in reports]}, 0 if passed else 1
-
-
-def _cmd_kolmogorov_check(args):
-    reports = kolmogorov_check(args.x, _config(args))
-    dev_identity = max(r.abs_dev for r in reports if r.label.startswith("identity"))
-    dev_norm = max(r.abs_dev for r in reports if r.label.startswith("normalization"))
-    passed = dev_identity < args.tol and dev_norm < TOL_NORMALIZATION_ABS
-    params = {"x": _fmt_real(args.x), "tol": _fmt_real(args.tol)}
-    result = {"passed": passed, "identity_abs_dev": _fmt_real(dev_identity),
-              "normalization_abs_dev": _fmt_real(dev_norm)}
-    return params, result, {"reports": [_report_dict(r) for r in reports]}, 0 if passed else 1
-
-
-def _cmd_factorization_check(args):
-    reports = convolution_factorization_check(args.t, args.x_points, args.u_points,
-                                              _config(args))
-    dev_char = max(r.abs_dev for r in reports if r.label.startswith("char"))
-    dev_dens = max(r.abs_dev for r in reports if r.label.startswith("density"))
-    passed = dev_char < TOL_FACTORIZATION_ABS and dev_dens < args.tol
-    params = {"t": _fmt_real(args.t),
-              "x_points": [_fmt_real(x) for x in args.x_points],
-              "u_points": [_fmt_real(u) for u in args.u_points],
-              "tol": _fmt_real(args.tol)}
-    result = {"passed": passed, "char_abs_dev": _fmt_real(dev_char),
-              "density_abs_dev": _fmt_real(dev_dens)}
-    return params, result, {"reports": [_report_dict(r) for r in reports]}, 0 if passed else 1
-
-
-def _cmd_oeis(args):
+def _oeis(args):
     terms = generate(args.id, args.count, method=args.method)
-    params = {"id": args.id, "count": args.count, "method": args.method}
-    return params, {"id": args.id, "terms": [str(v) for v in terms]}, None, 0
+    return {"id": args.id, "terms": [str(v) for v in terms]}, None, 0
 
 
-def _cmd_verify_all(args):
+def _check(reports_for, keys: dict[str, str], tol_kind: str):
+    """Handler of a check subcommand. `reports_for(args, cfg)` returns the
+    Report rows; each result key in `keys` carries the worst abs_dev of
+    one report kind. --tol bounds `tol_kind`, REPORT_TOL the others."""
+
+    def handler(args):
+        reports = reports_for(args, _config(args))
+        worst = worst_abs_dev(reports)
+        tol = {**REPORT_TOL, tol_kind: args.tol}
+        passed = all(worst[kind] < tol[kind] for kind in keys.values())
+        result = {"passed": passed}
+        result.update((key, _fmt_real(worst[kind])) for key, kind in keys.items())
+        return result, {"reports": [_report_dict(r) for r in reports]}, 0 if passed else 1
+
+    return handler
+
+
+def _verify_all(args):
     results = run_all()
     color = sys.stderr.isatty() and "NO_COLOR" not in os.environ
     for r in results:
@@ -198,81 +188,75 @@ def _cmd_verify_all(args):
     result = {"all_passed": all_passed,
               "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                            for r in results]}
-    return {}, result, None, 0 if all_passed else 1
+    return result, None, 0 if all_passed else 1
+
+
+def _required(parse):
+    return {"type": parse, "required": True}
+
+
+def _tol(kind: str) -> tuple:
+    return ("--tol", {"type": _real, "default": REPORT_TOL[kind]})
+
+
+_A_B_P = (("--a", _required(_rational)), ("--b", _required(_rational)),
+          ("--p", _required(int)))
+_METHOD = ("--method", {"choices": ("closed", "generic"), "default": "closed"})
+_QUAD_TOL = ("--quad-tol", {"type": _real, "default": None})
+
+# (name, help, handler, options); every option but --quad-tol is echoed
+# under "parameters" in declaration order.
+_COMMANDS = (
+    ("basic-poly", "basic polynomial w_n of a*D - b*D^(p+1)", _basic_poly,
+     (*_A_B_P, ("--n", _required(int)), _METHOD)),
+    ("f-series", "compositional inverse of a*x - b*x^(p+1)", _f_series,
+     (*_A_B_P, ("--order", {"type": int, "default": 32}))),
+    ("fuss", "Fuss-Catalan generating function of order p", _fuss,
+     (("--p", _required(int)), ("--order", {"type": int, "default": 16}))),
+    ("bessel-poly", "Bessel polynomial y_n", _bessel_poly,
+     (("--n", _required(int)),)),
+    ("egf-check", "Bessel EGF identity at a rational point, exact", _egf_check,
+     (("--t", _required(_rational)), ("--order", {"type": int, "default": 12}))),
+    ("moments", "n-th moment of a distribution by quadrature", _moments,
+     (("--dist", {"choices": sorted(_DISTS), "required": True}), ("--t", _required(_real)),
+      ("--n", _required(int)), _QUAD_TOL)),
+    ("semigroup-check", "inverse-Gaussian convolution semigroup at given points",
+     _check(lambda a, cfg: semigroup_check(a.s, a.t, a.points, cfg),
+            {"max_abs_dev": "convolution"}, "convolution"),
+     (("--s", _required(_real)), ("--t", _required(_real)),
+      ("--points", {"type": _real_list, "default": "0.5,1,2,4"}), _tol("convolution"),
+      _QUAD_TOL)),
+    ("kolmogorov-check", "Kolmogorov representation of 1 - sqrt(1-2ix)",
+     _check(lambda a, cfg: kolmogorov_check(a.x, cfg),
+            {"identity_abs_dev": "identity", "normalization_abs_dev": "normalization"},
+            "identity"),
+     (("--x", _required(_real)), _tol("identity"), _QUAD_TOL)),
+    ("factorization-check", "Bessel measure = gamma * dilated inverse-Gaussian",
+     _check(lambda a, cfg: convolution_factorization_check(a.t, a.x_points, a.u_points, cfg),
+            {"char_abs_dev": "char", "density_abs_dev": "convolution"}, "convolution"),
+     (("--t", _required(_real)),
+      ("--x-points", {"type": _real_list, "default": "-1,-0.3,0.2,0.7,1"}),
+      ("--u-points", {"type": _real_list, "default": "0.5,1,2"}), _tol("convolution"),
+      _QUAD_TOL)),
+    ("oeis", "terms of one of the eight labeled sequences", _oeis,
+     (("--id", {"choices": SEQUENCE_IDS, "required": True}), ("--count", _required(int)),
+      _METHOD)),
+    ("verify-all", "run every acceptance criterion", _verify_all, ()),
+)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="deltapoly", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, help_text):
+    for name, help_text, handler, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    p = add("basic-poly", _cmd_basic_poly,
-            "basic polynomial w_n of a*D - b*D^(p+1)")
-    p.add_argument("--a", type=_rational, required=True)
-    p.add_argument("--b", type=_rational, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "generic"), default="closed")
-
-    p = add("f-series", _cmd_f_series,
-            "compositional inverse of a*x - b*x^(p+1)")
-    p.add_argument("--a", type=_rational, required=True)
-    p.add_argument("--b", type=_rational, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--order", type=int, default=32)
-
-    p = add("fuss", _cmd_fuss, "Fuss-Catalan generating function of order p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--order", type=int, default=16)
-
-    p = add("bessel-poly", _cmd_bessel_poly, "Bessel polynomial y_n")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("egf-check", _cmd_egf_check,
-            "Bessel EGF identity at a rational point, exact")
-    p.add_argument("--t", type=_rational, required=True)
-    p.add_argument("--order", type=int, default=12)
-
-    p = add("moments", _cmd_moments, "n-th moment of a distribution by quadrature")
-    p.add_argument("--dist", choices=sorted(_DISTS), required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--quad-tol", type=float, default=None)
-
-    p = add("semigroup-check", _cmd_semigroup_check,
-            "inverse-Gaussian convolution semigroup at given points")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--points", type=_float_list, default="0.5,1,2,4")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--quad-tol", type=float, default=None)
-
-    p = add("kolmogorov-check", _cmd_kolmogorov_check,
-            "Kolmogorov representation of 1 - sqrt(1-2ix)")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--quad-tol", type=float, default=None)
-
-    p = add("factorization-check", _cmd_factorization_check,
-            "Bessel measure = gamma * dilated inverse-Gaussian")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x-points", type=_float_list, default="-1,-0.3,0.2,0.7,1")
-    p.add_argument("--u-points", type=_float_list, default="0.5,1,2")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--quad-tol", type=float, default=None)
-
-    p = add("oeis", _cmd_oeis, "terms of one of the eight labeled sequences")
-    p.add_argument("--id", choices=SEQUENCE_IDS, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--method", choices=("closed", "generic"), default="closed")
-
-    add("verify-all", _cmd_verify_all, "run every acceptance criterion")
-
+        echoed = []
+        for flag, kwargs in options:
+            dest = p.add_argument(flag, **kwargs).dest
+            if flag != "--quad-tol":
+                echoed.append(dest)
+        p.set_defaults(handler=handler, echoed=echoed)
     return parser
 
 
@@ -290,33 +274,27 @@ def _emit_csv(result, diagnostics) -> None:
     if diagnostics and "reports" in diagnostics:
         header = ("label", "value_lhs", "value_rhs", "abs_dev", "rel_dev", "quad_error")
         writer.writerow(header)
-        for row in diagnostics["reports"]:
-            writer.writerow([_csv_cell(row[k]) for k in header])
+        writer.writerows([_csv_cell(row[k]) for k in header] for row in diagnostics["reports"])
     elif "coeffs" in result:
         writer.writerow(("power", "coefficient"))
-        for k, c in enumerate(result["coeffs"]):
-            writer.writerow((k, c))
+        writer.writerows(enumerate(result["coeffs"]))
     elif "terms" in result:
         writer.writerow(("n", "term"))
-        for n, v in enumerate(result["terms"]):
-            writer.writerow((n, v))
+        writer.writerows(enumerate(result["terms"]))
     elif "criteria" in result:
         writer.writerow(("criterion", "passed", "detail"))
-        for row in result["criteria"]:
-            writer.writerow((row["name"], _csv_cell(row["passed"]), row["detail"]))
+        writer.writerows((row["name"], _csv_cell(row["passed"]), row["detail"])
+                         for row in result["criteria"])
     else:
         writer.writerow(("field", "value"))
-        for key, value in result.items():
-            writer.writerow((key, _csv_cell(value)))
-        if diagnostics:
-            for key, value in diagnostics.items():
-                writer.writerow((key, _csv_cell(value)))
+        for fields in (result, diagnostics or {}):
+            writer.writerows((key, _csv_cell(value)) for key, value in fields.items())
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        params, result, diagnostics, code = args.handler(args)
+        result, diagnostics, code = args.handler(args)
     except QuadratureError as exc:
         print(f"deltapoly {args.command}: {exc}", file=sys.stderr)
         return 1
@@ -326,6 +304,7 @@ def main(argv=None) -> int:
     if args.format == "csv":
         _emit_csv(result, diagnostics)
     else:
+        params = {dest: _echo(getattr(args, dest)) for dest in args.echoed}
         envelope = {"command": args.command, "parameters": params, "result": result}
         if diagnostics is not None:
             envelope["diagnostics"] = diagnostics

@@ -24,7 +24,6 @@ Fuss-Catalan series: [x^{jp+1}] f = Fuss_{p+1}(j) b^j / a^{(p+1)j+1}.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .series import (
     DEFAULT_ORDER,
     FormalPowerSeries,
     Poly,
+    PolySequence,
     poly_diff,
     poly_eval,
     taylor_shift,
@@ -106,15 +106,11 @@ def apply_delta(op: DeltaOperator, p: Poly) -> Poly:
     return result
 
 
-@dataclass(frozen=True)
-class BinomialSequence:
+class BinomialSequence(PolySequence):
     """Polynomials w_0..w_n with w_0 = 1, w_n(0) = 0, deg w_n = n."""
 
-    polys: tuple[Poly, ...]
-    source: str = "generic"
-
     def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(self.polys))
+        super().__post_init__()
         if not self.polys or self.polys[0] != Poly([1]):
             raise ValueError("w_0 must be the constant polynomial 1")
         for n, w in enumerate(self.polys[1:], start=1):
@@ -122,15 +118,6 @@ class BinomialSequence:
                 raise ValueError(f"w_{n} must have degree {n}")
             if w.coeffs[0] != 0:
                 raise ValueError(f"w_{n}(0) must vanish")
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __getitem__(self, n: int) -> Poly:
-        return self.polys[n]
-
-    def __iter__(self):
-        return iter(self.polys)
 
 
 def basic_sequence_generic(op: DeltaOperator, nmax: int) -> BinomialSequence:
@@ -160,7 +147,7 @@ def basic_sequence_generic(op: DeltaOperator, nmax: int) -> BinomialSequence:
                 for j, c in enumerate(q_mono[m].coeffs):
                     residual[j] -= um * c
         polys.append(Poly(coeffs))
-    return BinomialSequence(tuple(polys), source="generic")
+    return BinomialSequence(tuple(polys))
 
 
 def basic_sequence_closed(abp: AbTriple, nmax: int) -> BinomialSequence:
@@ -168,16 +155,19 @@ def basic_sequence_closed(abp: AbTriple, nmax: int) -> BinomialSequence:
     docstring); w_1(t) = t/a, and b = 0 collapses to (t/a)^n."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    a, b, p = abp.a, abp.b, abp.p
+    an, ad = abp.a.numerator, abp.a.denominator
+    bn, bd = abp.b.numerator, abp.b.denominator
+    p = abp.p
     polys = [Poly([1])]
     for n in range(1, nmax + 1):
         coeffs = [Fraction(0)] * (n + 1)
         for j in range((n - 1) // p + 1):
-            num = math.factorial(n + j - 1) * b**j
-            den = math.factorial(j) * math.factorial(n - j * p - 1) * a**(n + j)
-            coeffs[n - j * p] = num / den
+            # one integer quotient per coefficient: a single gcd
+            num = math.factorial(n + j - 1) * bn**j * ad**(n + j)
+            den = math.factorial(j) * math.factorial(n - j * p - 1) * bd**j * an**(n + j)
+            coeffs[n - j * p] = Fraction(num, den)
         polys.append(Poly(coeffs))
-    return BinomialSequence(tuple(polys), source="closed")
+    return BinomialSequence(tuple(polys))
 
 
 def f_series(abp: AbTriple, order: int = DEFAULT_ORDER) -> FormalPowerSeries:
@@ -214,15 +204,3 @@ def binomial_identity_check(seq: BinomialSequence, n: int) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def random_triples(count: int, seed: int, max_p: int = 3) -> list[AbTriple]:
-    """Seeded draws of AbTriple with numerators and denominators <= 5."""
-    rng = random.Random(seed)
-    nonzero = [v for v in range(-5, 6) if v != 0]
-    out = []
-    for _ in range(count):
-        a = Fraction(rng.choice(nonzero), rng.randint(1, 5))
-        b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        out.append(AbTriple(a, b, rng.randint(1, max_p)))
-    return out

@@ -172,9 +172,10 @@ def char_fun_quadrature(dist: DistSpec, x: float,
 
 @dataclass(frozen=True)
 class Report:
-    """One verified equality: both side values, deviations, and the error
-    estimate of whatever quadrature produced a side (0.0 if none did)."""
+    """One verified equality of some kind: both side values, deviations,
+    and the error estimate of a quadrature behind a side (0.0 if none)."""
 
+    kind: str
     label: str
     value_lhs: "complex | float"
     value_rhs: "complex | float"
@@ -183,30 +184,45 @@ class Report:
     quad_error: float
 
 
-def make_report(label: str, lhs, rhs, quad_error: float = 0.0) -> Report:
+def make_report(kind: str, label: str, lhs, rhs, quad_error: float = 0.0) -> Report:
     dev = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
-    return Report(label, lhs, rhs, dev, dev / scale if scale else 0.0, quad_error)
+    return Report(kind, label, lhs, rhs, dev, dev / scale if scale else 0.0, quad_error)
+
+
+def worst_abs_dev(reports: Sequence[Report]) -> dict[str, float]:
+    """The largest abs_dev of each kind of report, keyed by kind."""
+    worst: dict[str, float] = {}
+    for r in reports:
+        worst[r.kind] = max(worst.get(r.kind, r.abs_dev), r.abs_dev)
+    return worst
+
+
+def _convolution_reports(prefix: str, left: DistSpec, right: DistSpec, target: DistSpec,
+                         points: Sequence[float], cfg: QuadratureConfig) -> list[Report]:
+    """(left * right)(u) = target(u) at each point, the left side by
+    numerical convolution over (0, u). Points u <= 0 compare the trivial
+    0 = 0."""
+    out = []
+    for u in points:
+        label = f"{prefix}u={u:g}"
+        if u <= 0.0:
+            out.append(make_report("convolution", label, 0.0, 0.0))
+            continue
+        conv = integrate_interval(
+            lambda v, u=u: density(left, v) * density(right, u - v), 0.0, u, cfg)
+        out.append(make_report("convolution", label, conv.value, density(target, u),
+                               conv.error))
+    return out
 
 
 def semigroup_check(s: float, t: float, points: Sequence[float],
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[Report]:
-    """Convolution semigroup: (rho_s * rho_t)(u) = rho_{s+t}(u), the left
-    side by numerical convolution over (0, u). Points u <= 0 compare the
-    trivial 0 = 0."""
+    """Convolution semigroup: (rho_s * rho_t)(u) = rho_{s+t}(u)."""
     if not (s > 0 and t > 0):
         raise ValueError("s and t must be positive")
-    rho_s, rho_t = InverseGaussian(s), InverseGaussian(t)
-    rho_sum = InverseGaussian(s + t)
-    out = []
-    for u in points:
-        if u <= 0.0:
-            out.append(make_report(f"u={u:g}", 0.0, 0.0))
-            continue
-        conv = integrate_interval(
-            lambda v, u=u: density(rho_s, v) * density(rho_t, u - v), 0.0, u, cfg)
-        out.append(make_report(f"u={u:g}", conv.value, density(rho_sum, u), conv.error))
-    return out
+    return _convolution_reports("", InverseGaussian(s), InverseGaussian(t),
+                                InverseGaussian(s + t), points, cfg)
 
 
 def _cis_ratio(w: float) -> complex:
@@ -249,11 +265,12 @@ def kolmogorov_check(x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[R
     re = integrate_half_line(lambda u: part(u, True), cfg)
     im = integrate_half_line(lambda u: part(u, False), cfg)
     rhs = complex(re.value, x + im.value)
-    reports = [make_report(f"identity x={x:g}", lhs, rhs, max(re.error, im.error))]
+    reports = [make_report("identity", f"identity x={x:g}", lhs, rhs,
+                           max(re.error, im.error))]
 
     norm = integrate_half_line(
         lambda u: math.exp(0.5 * math.log(u) - 0.5 * u - 0.5 * _LOG_2PI), cfg)
-    reports.append(make_report("normalization", 1.0, norm.value, norm.error))
+    reports.append(make_report("normalization", "normalization", 1.0, norm.value, norm.error))
     return reports
 
 
@@ -276,17 +293,9 @@ def convolution_factorization_check(t: float, x_points: Sequence[float],
         root = cmath.sqrt(1.0 - 2.0j * t * x)
         psi = cmath.exp((1.0 - root) / t) / root
         product = char_fun(gamma_part, x) * char_fun(dilated_part, x)
-        out.append(make_report(f"char x={x:g}", psi, product))
-    target = BesselMeasure(t)
-    for u in u_points:
-        if u <= 0.0:
-            out.append(make_report(f"density u={u:g}", 0.0, 0.0))
-            continue
-        conv = integrate_interval(
-            lambda v, u=u: density(gamma_part, v) * density(dilated_part, u - v),
-            0.0, u, cfg)
-        out.append(make_report(f"density u={u:g}", conv.value, density(target, u), conv.error))
-    return out
+        out.append(make_report("char", f"char x={x:g}", psi, product))
+    return out + _convolution_reports("density ", gamma_part, dilated_part,
+                                      BesselMeasure(t), u_points, cfg)
 
 
 def bessel_k_half(m: int, z: float) -> float:

@@ -1,7 +1,7 @@
 """Eight integer sequences arising as moments of the distribution family.
 
-Each sequence has two independent exact constructions (the explicit
-closed sums of `bessel`, or the generic triangular solve of `delta`) and
+Each sequence has two independent exact constructions (the closed sums
+of `delta` and `bessel`, or the generic triangular solve of `delta`) and
 a distribution whose quadrature moments must reproduce it. The OEIS ids
 are labels for cross-reference only; all values are computed here.
 """
@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import bessel_poly, carlitz_w
-from .delta import AbTriple, BinomialSequence, DeltaOperator, basic_sequence_generic
+from .bessel import CARLITZ, bessel_poly
+from .delta import DeltaOperator, basic_sequence_closed, basic_sequence_generic
 from .distributions import (
     BesselMeasure,
     Dilated,
@@ -21,61 +21,61 @@ from .distributions import (
     make_report,
     moment_quadrature,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadResult
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .series import poly_eval
+
+#: The law whose n-th moment is w_n(t), respectively y_n(t).
+_LAWS = {"w": InverseGaussian, "y": BesselMeasure}
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
+    """Term n is scale * dilation^n * F_{n+shift}(point), with F = w (the
+    basic polynomials of D - D**2/2) or y (the Bessel polynomials). It is
+    also scale times the (n+shift)-th moment of the law of family F at t =
+    point, dilated by `dilation`."""
+
     oeis_id: str
     description: str
+    family: str
+    point: Fraction
+    shift: int = 0
+    scale: Fraction = Fraction(1)
+    dilation: int = 1
 
 
 SPECS: tuple[SequenceSpec, ...] = (
-    SequenceSpec("A144301", "w_n(1): moments of the inverse-Gaussian law at t=1"),
-    SequenceSpec("A107104", "w_n(2): moments of the inverse-Gaussian law at t=2"),
-    SequenceSpec("A043301", "w_{n+1}(2)/2: moments of the size-biased inverse-Gaussian law at t=2"),
-    SequenceSpec("A080893", "2^n w_n(1/2): moments of the doubled inverse-Gaussian law at t=1/2"),
-    SequenceSpec("A001515", "y_n(1): moments of the Bessel measure at t=1"),
-    SequenceSpec("A001517", "y_n(2): moments of the Bessel measure at t=2"),
-    SequenceSpec("A001518", "y_n(3): moments of the Bessel measure at t=3"),
-    SequenceSpec("A065919", "y_n(4): moments of the Bessel measure at t=4"),
+    SequenceSpec("A144301", "w_n(1): moments of the inverse-Gaussian law at t=1",
+                 "w", Fraction(1)),
+    SequenceSpec("A107104", "w_n(2): moments of the inverse-Gaussian law at t=2",
+                 "w", Fraction(2)),
+    SequenceSpec("A043301", "w_{n+1}(2)/2: moments of the size-biased inverse-Gaussian law at t=2",
+                 "w", Fraction(2), shift=1, scale=Fraction(1, 2)),
+    SequenceSpec("A080893", "2^n w_n(1/2): moments of the doubled inverse-Gaussian law at t=1/2",
+                 "w", Fraction(1, 2), dilation=2),
+    SequenceSpec("A001515", "y_n(1): moments of the Bessel measure at t=1", "y", Fraction(1)),
+    SequenceSpec("A001517", "y_n(2): moments of the Bessel measure at t=2", "y", Fraction(2)),
+    SequenceSpec("A001518", "y_n(3): moments of the Bessel measure at t=3", "y", Fraction(3)),
+    SequenceSpec("A065919", "y_n(4): moments of the Bessel measure at t=4", "y", Fraction(4)),
 )
 
 SEQUENCE_IDS: tuple[str, ...] = tuple(s.oeis_id for s in SPECS)
+_BY_ID = {s.oeis_id: s for s in SPECS}
 
-_Y_POINT = {"A001515": 1, "A001517": 2, "A001518": 3, "A065919": 4}
 
-
-def _w_sequence(nmax: int, method: str) -> BinomialSequence:
+def _family_values(family: str, t0: Fraction, nmax: int, method: str) -> list[Fraction]:
+    """F_0(t0)..F_nmax(t0) for F = w or y."""
+    if family == "y" and method == "closed":
+        return [poly_eval(y, t0) for y in bessel_poly(nmax)]
+    wmax = nmax + (family == "y")
     if method == "closed":
-        return carlitz_w(nmax)
-    op = DeltaOperator.from_ab(AbTriple(Fraction(1), Fraction(1, 2), 1), order=max(nmax, 1))
-    return basic_sequence_generic(op, nmax)
-
-
-def _exact_terms(seq_id: str, count: int, method: str) -> list[Fraction]:
-    if seq_id in _Y_POINT:
-        t0 = Fraction(_Y_POINT[seq_id])
-        if method == "closed":
-            ys = bessel_poly(count - 1)
-            return [poly_eval(ys[n], t0) for n in range(count)]
-        # y_n(t) = t^{n+1} w_{n+1}(1/t), with w from the generic solver
-        ws = _w_sequence(count, method)
-        return [t0 ** (n + 1) * poly_eval(ws[n + 1], 1 / t0) for n in range(count)]
-    if seq_id == "A144301":
-        ws = _w_sequence(count - 1, method)
-        return [poly_eval(ws[n], 1) for n in range(count)]
-    if seq_id == "A107104":
-        ws = _w_sequence(count - 1, method)
-        return [poly_eval(ws[n], 2) for n in range(count)]
-    if seq_id == "A043301":
-        ws = _w_sequence(count, method)
-        return [poly_eval(ws[n + 1], 2) / 2 for n in range(count)]
-    if seq_id == "A080893":
-        ws = _w_sequence(count - 1, method)
-        return [Fraction(2) ** n * poly_eval(ws[n], Fraction(1, 2)) for n in range(count)]
-    raise ValueError(f"unknown sequence id {seq_id!r}")
+        ws = basic_sequence_closed(CARLITZ, wmax)
+    else:
+        ws = basic_sequence_generic(DeltaOperator.from_ab(CARLITZ, order=max(wmax, 1)), wmax)
+    if family == "w":
+        return [poly_eval(w, t0) for w in ws]
+    # y_n(t) = t^{n+1} w_{n+1}(1/t), with w from the generic solver
+    return [t0 ** (n + 1) * poly_eval(ws[n + 1], 1 / t0) for n in range(nmax + 1)]
 
 
 def generate(seq_id: str, count: int, method: str = "closed") -> list[int]:
@@ -85,36 +85,31 @@ def generate(seq_id: str, count: int, method: str = "closed") -> list[int]:
         raise ValueError("count must be >= 1")
     if method not in ("closed", "generic"):
         raise ValueError(f"unknown method {method!r}")
-    terms = _exact_terms(seq_id, count, method)
+    if seq_id not in _BY_ID:
+        raise ValueError(f"unknown sequence id {seq_id!r}")
+    spec = _BY_ID[seq_id]
+    values = _family_values(spec.family, spec.point, count - 1 + spec.shift, method)
     out = []
-    for n, v in enumerate(terms):
+    for n in range(count):
+        v = spec.scale * spec.dilation**n * values[n + spec.shift]
         if v.denominator != 1:
             raise ArithmeticError(f"{seq_id} term {n} is not an integer: {v}")
         out.append(v.numerator)
     return out
 
 
-def _moment_for(seq_id: str, n: int, cfg: QuadratureConfig) -> QuadResult:
-    if seq_id in _Y_POINT:
-        return moment_quadrature(BesselMeasure(float(_Y_POINT[seq_id])), n, cfg)
-    if seq_id == "A144301":
-        return moment_quadrature(InverseGaussian(1.0), n, cfg)
-    if seq_id == "A107104":
-        return moment_quadrature(InverseGaussian(2.0), n, cfg)
-    if seq_id == "A043301":
-        q = moment_quadrature(InverseGaussian(2.0), n + 1, cfg)
-        return QuadResult(q.value / 2.0, q.error / 2.0)
-    if seq_id == "A080893":
-        return moment_quadrature(Dilated(InverseGaussian(0.5), 2.0), n, cfg)
-    raise ValueError(f"unknown sequence id {seq_id!r}")
-
-
 def crosscheck(seq_id: str, count: int,
                cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[Report]:
     """Exact terms against quadrature moments of the matching law."""
     terms = generate(seq_id, count)
+    spec = _BY_ID[seq_id]
+    law = _LAWS[spec.family](float(spec.point))
+    if spec.dilation != 1:
+        law = Dilated(law, float(spec.dilation))
+    scale = float(spec.scale)
     out = []
     for n in range(count):
-        q = _moment_for(seq_id, n, cfg)
-        out.append(make_report(f"{seq_id} n={n}", float(terms[n]), q.value, q.error))
+        q = moment_quadrature(law, n + spec.shift, cfg)
+        out.append(make_report("crosscheck", f"{seq_id} n={n}", float(terms[n]),
+                               q.value * scale, q.error * scale))
     return out

@@ -7,6 +7,7 @@ here are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -143,6 +144,25 @@ def poly_to_strings(p: Poly) -> list[str]:
 
 def poly_from_strings(coeffs: Iterable[str]) -> Poly:
     return Poly([parse_rational(c) for c in coeffs])
+
+
+@dataclass(frozen=True)
+class PolySequence:
+    """Polynomials p_0..p_n, indexed and iterated in order."""
+
+    polys: tuple[Poly, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "polys", tuple(self.polys))
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __getitem__(self, n: int) -> Poly:
+        return self.polys[n]
+
+    def __iter__(self):
+        return iter(self.polys)
 
 
 class FormalPowerSeries:

@@ -7,10 +7,11 @@ registry. Tolerances are fixed here and nowhere else.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import bessel_egf_check, bessel_poly, carlitz_w, w_bessel_relation_check
+from .bessel import CARLITZ, bessel_egf_check, bessel_poly, w_bessel_relation_check
 from .delta import (
     AbTriple,
     DeltaOperator,
@@ -19,7 +20,6 @@ from .delta import (
     basic_sequence_generic,
     binomial_identity_check,
     f_series,
-    random_triples,
 )
 from .distributions import (
     BesselMeasure,
@@ -31,6 +31,7 @@ from .distributions import (
     kolmogorov_check,
     moment,
     semigroup_check,
+    worst_abs_dev,
 )
 from .fuss import fuss_series
 from .sequences import SEQUENCE_IDS, crosscheck, generate
@@ -53,6 +54,14 @@ TOL_K_CLOSED_FORM_REL = 1e-9
 TOL_CROSSCHECK_REL = 1e-8
 SAMPLER_SIGMAS = 4.0
 
+#: Absolute tolerance for each kind of check report.
+REPORT_TOL = {
+    "convolution": TOL_CONVOLUTION_ABS,
+    "char": TOL_FACTORIZATION_ABS,
+    "identity": TOL_KOLMOGOROV_ABS,
+    "normalization": TOL_NORMALIZATION_ABS,
+}
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -61,163 +70,131 @@ class CriterionResult:
     detail: str
 
 
+def random_triples(count: int, seed: int, max_p: int = 3) -> list[AbTriple]:
+    """Seeded draws of AbTriple with numerators and denominators <= 5."""
+    rng = random.Random(seed)
+    nonzero = [v for v in range(-5, 6) if v != 0]
+    out = []
+    for _ in range(count):
+        a = Fraction(rng.choice(nonzero), rng.randint(1, 5))
+        b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        out.append(AbTriple(a, b, rng.randint(1, max_p)))
+    return out
+
+
 def delta_action() -> CriterionResult:
     """Q w_n = n w_{n-1} exactly for seeded triples, n <= 25."""
+    name = "delta action Q w_n = n w_{n-1}"
     nmax = 25
     for abp in random_triples(20, SEED):
         ws = basic_sequence_closed(abp, nmax)
         op = DeltaOperator.from_ab(abp, order=nmax)
         for n in range(1, nmax + 1):
             if apply_delta(op, ws[n]) != n * ws[n - 1]:
-                return CriterionResult(
-                    "delta action Q w_n = n w_{n-1}", False,
-                    f"failed at a={abp.a} b={abp.b} p={abp.p}, n={n}")
-    return CriterionResult(
-        "delta action Q w_n = n w_{n-1}", True, "20 seeded triples, n <= 25, exact")
+                return CriterionResult(name, False,
+                                       f"failed at a={abp.a} b={abp.b} p={abp.p}, n={n}")
+    return CriterionResult(name, True, "20 seeded triples, n <= 25, exact")
 
 
 def closed_equals_generic() -> CriterionResult:
+    name = "closed form equals generic solve"
     nmax = 25
     for abp in random_triples(20, SEED):
         closed = basic_sequence_closed(abp, nmax)
         op = DeltaOperator.from_ab(abp, order=nmax)
         generic = basic_sequence_generic(op, nmax)
         if closed.polys != generic.polys:
-            return CriterionResult(
-                "closed form equals generic solve", False,
-                f"mismatch at a={abp.a} b={abp.b} p={abp.p}")
-    return CriterionResult(
-        "closed form equals generic solve", True, "20 seeded triples, n <= 25, exact")
+            return CriterionResult(name, False, f"mismatch at a={abp.a} b={abp.b} p={abp.p}")
+    return CriterionResult(name, True, "20 seeded triples, n <= 25, exact")
 
 
 def binomial_type() -> CriterionResult:
+    name = "binomial-type identity on the integer grid"
     for abp in random_triples(5, SEED + 1):
         seq = basic_sequence_closed(abp, 20)
         for n in range(21):
             if not binomial_identity_check(seq, n):
-                return CriterionResult(
-                    "binomial-type identity on the integer grid", False,
-                    f"failed at a={abp.a} b={abp.b} p={abp.p}, n={n}")
-    return CriterionResult(
-        "binomial-type identity on the integer grid", True,
-        "5 seeded triples, all n <= 20, exact")
+                return CriterionResult(name, False,
+                                       f"failed at a={abp.a} b={abp.b} p={abp.p}, n={n}")
+    return CriterionResult(name, True, "5 seeded triples, all n <= 20, exact")
 
 
 def fuss_inverse() -> CriterionResult:
+    name = "Fuss-Catalan series inverts a x - b x^{p+1}"
     order = 30
     for abp in random_triples(10, SEED + 2):
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[1] = abp.a
-        coeffs[abp.p + 1] = -abp.b
-        g = FormalPowerSeries(coeffs, order)
+        g = DeltaOperator.from_ab(abp, order).g
         if f_series(abp, order) != fps_reverse(g):
-            return CriterionResult(
-                "Fuss-Catalan series inverts a x - b x^{p+1}", False,
-                f"mismatch at a={abp.a} b={abp.b} p={abp.p}")
-    f = f_series(AbTriple(Fraction(1), Fraction(1, 2), 1), 15)
+            return CriterionResult(name, False, f"mismatch at a={abp.a} b={abp.b} p={abp.p}")
+    f = f_series(CARLITZ, 15)
     for n in range(1, 16):
         dfact = math.prod(range(2 * n - 3, 0, -2)) if n >= 2 else 1
         if f[n] != Fraction(dfact, math.factorial(n)):
-            return CriterionResult(
-                "Fuss-Catalan series inverts a x - b x^{p+1}", False,
-                f"(1, 1/2, 1) coefficient n={n} is not (2n-3)!!/n!")
+            return CriterionResult(name, False,
+                                   f"(1, 1/2, 1) coefficient n={n} is not (2n-3)!!/n!")
     return CriterionResult(
-        "Fuss-Catalan series inverts a x - b x^{p+1}", True,
-        "10 seeded triples to order 30, plus (2n-3)!!/n! for n <= 15, exact")
+        name, True, "10 seeded triples to order 30, plus (2n-3)!!/n! for n <= 15, exact")
 
 
 def fuss_functional_equation() -> CriterionResult:
+    name = "Fuss functional equation B_p = 1 + x B_p^p"
     order = 40
     x = FormalPowerSeries.identity(order)
     for p in range(1, 7):
         b = fuss_series(p, order).series
         if b - 1 - x * b**p != FormalPowerSeries.constant(0, order):
-            return CriterionResult(
-                "Fuss functional equation B_p = 1 + x B_p^p", False,
-                f"residual nonzero at p={p}")
+            return CriterionResult(name, False, f"residual nonzero at p={p}")
     # p = 2 against the closed form (1 - sqrt(1-4x)) / (2x)
     s = fps_sqrt(FormalPowerSeries([1, -4], order + 1))
     catalan = FormalPowerSeries([(1 - s)[k + 1] / 2 for k in range(order + 1)], order)
     if fuss_series(2, order).series != catalan:
-        return CriterionResult(
-            "Fuss functional equation B_p = 1 + x B_p^p", False,
-            "B_2 disagrees with (1 - sqrt(1-4x))/(2x)")
-    return CriterionResult(
-        "Fuss functional equation B_p = 1 + x B_p^p", True,
-        "p <= 6 to order 40, and B_2 = (1-sqrt(1-4x))/(2x), exact")
+        return CriterionResult(name, False, "B_2 disagrees with (1 - sqrt(1-4x))/(2x)")
+    return CriterionResult(name, True, "p <= 6 to order 40, and B_2 = (1-sqrt(1-4x))/(2x), exact")
 
 
 def bessel_relation_and_egf() -> CriterionResult:
+    name = "Bessel relation and generating function"
     if not w_bessel_relation_check(25):
-        return CriterionResult(
-            "Bessel relation and generating function", False,
-            "w_n(t) != t^n y_{n-1}(1/t) below n = 25")
+        return CriterionResult(name, False, "w_n(t) != t^n y_{n-1}(1/t) below n = 25")
     for t0 in (1, 2, Fraction(1, 2), Fraction(2, 3), -1):
         if not bessel_egf_check(t0, 12):
-            return CriterionResult(
-                "Bessel relation and generating function", False,
-                f"EGF mismatch at t0={t0}")
+            return CriterionResult(name, False, f"EGF mismatch at t0={t0}")
     return CriterionResult(
-        "Bessel relation and generating function", True,
-        "relation n <= 25 exact; EGF at 5 rational points to order 12, exact")
+        name, True, "relation n <= 25 exact; EGF at 5 rational points to order 12, exact")
 
 
 def moment_theorems() -> CriterionResult:
-    ws = carlitz_w(8)
+    ws = basic_sequence_closed(CARLITZ, 8)
     ys = bessel_poly(8)
     worst = 0.0
-    for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        dist = InverseGaussian(float(t))
-        for n in range(9):
-            exact = float(poly_eval(ws[n], t))
-            rel = abs(moment(dist, n) - exact) / exact
-            worst = max(worst, rel)
-    for t in (1, 2, 3, 4):
-        dist = BesselMeasure(float(t))
-        for n in range(9):
-            exact = float(poly_eval(ys[n], t))
-            rel = abs(moment(dist, n) - exact) / exact
-            worst = max(worst, rel)
+    for law, polys, points in ((InverseGaussian, ws, (Fraction(1, 2), Fraction(1), Fraction(2))),
+                               (BesselMeasure, ys, (1, 2, 3, 4))):
+        for t in points:
+            dist = law(float(t))
+            for n in range(9):
+                exact = float(poly_eval(polys[n], t))
+                worst = max(worst, abs(moment(dist, n) - exact) / exact)
     return CriterionResult(
         "moments match w_n(t) and y_n(t)", worst < TOL_MOMENT_REL,
         f"max rel dev {worst:.3e} (tol {TOL_MOMENT_REL:g}), n <= 8")
 
 
 def semigroup_factorization_kolmogorov() -> CriterionResult:
-    points = (0.5, 1.0, 2.0, 4.0)
-    worst_conv = 0.0
-    for s, t in ((0.5, 0.5), (1.0, 2.0)):
-        for r in semigroup_check(s, t, points):
-            worst_conv = max(worst_conv, r.abs_dev)
-    worst_char = 0.0
-    worst_dens = 0.0
-    x_points = (-1.0, -0.3, 0.2, 0.7, 1.0)
-    for t in (0.5, 1.0, 2.0):
-        for r in convolution_factorization_check(t, x_points):
-            if r.label.startswith("char"):
-                worst_char = max(worst_char, r.abs_dev)
-            else:
-                worst_dens = max(worst_dens, r.abs_dev)
-    worst_kolm = 0.0
-    worst_norm = 0.0
-    for x in (0.1, 0.3, 0.7):
-        for r in kolmogorov_check(x):
-            if r.label.startswith("identity"):
-                worst_kolm = max(worst_kolm, r.abs_dev)
-            else:
-                worst_norm = max(worst_norm, r.abs_dev)
-    passed = (worst_conv < TOL_CONVOLUTION_ABS
-              and worst_char < TOL_FACTORIZATION_ABS
-              and worst_dens < TOL_CONVOLUTION_ABS
-              and worst_kolm < TOL_KOLMOGOROV_ABS
-              and worst_norm < TOL_NORMALIZATION_ABS)
+    semigroup = worst_abs_dev([r for s, t in ((0.5, 0.5), (1.0, 2.0))
+                               for r in semigroup_check(s, t, (0.5, 1.0, 2.0, 4.0))])
+    factorization = worst_abs_dev([
+        r for t in (0.5, 1.0, 2.0)
+        for r in convolution_factorization_check(t, (-1.0, -0.3, 0.2, 0.7, 1.0))])
+    kolmogorov = worst_abs_dev([r for x in (0.1, 0.3, 0.7) for r in kolmogorov_check(x)])
+    passed = all(worst[kind] < REPORT_TOL[kind]
+                 for worst in (semigroup, factorization, kolmogorov) for kind in worst)
     return CriterionResult(
         "semigroup, factorization, Kolmogorov representation", passed,
-        f"semigroup dev {worst_conv:.3e} (tol {TOL_CONVOLUTION_ABS:g}); "
-        f"factorization char {worst_char:.3e} (tol {TOL_FACTORIZATION_ABS:g}), "
-        f"density {worst_dens:.3e} (tol {TOL_CONVOLUTION_ABS:g}); "
-        f"Kolmogorov {worst_kolm:.3e} (tol {TOL_KOLMOGOROV_ABS:g}), "
-        f"normalization {worst_norm:.3e} (tol {TOL_NORMALIZATION_ABS:g})")
+        f"semigroup dev {semigroup['convolution']:.3e} (tol {TOL_CONVOLUTION_ABS:g}); "
+        f"factorization char {factorization['char']:.3e} (tol {TOL_FACTORIZATION_ABS:g}), "
+        f"density {factorization['convolution']:.3e} (tol {TOL_CONVOLUTION_ABS:g}); "
+        f"Kolmogorov {kolmogorov['identity']:.3e} (tol {TOL_KOLMOGOROV_ABS:g}), "
+        f"normalization {kolmogorov['normalization']:.3e} (tol {TOL_NORMALIZATION_ABS:g})")
 
 
 def bessel_k_routes() -> CriterionResult:
@@ -227,7 +204,7 @@ def bessel_k_routes() -> CriterionResult:
             rec = bessel_k_half(m, z)
             quad = bessel_k_quadrature(m, z).value
             worst_quad = max(worst_quad, abs(rec - quad) / abs(quad))
-    ws = carlitz_w(8)
+    ws = basic_sequence_closed(CARLITZ, 8)
     ys = bessel_poly(8)
     worst_closed = 0.0
     sqrt_pi = math.sqrt(math.pi)
@@ -251,20 +228,18 @@ def bessel_k_routes() -> CriterionResult:
 
 
 def integer_sequences() -> CriterionResult:
+    name = "integer sequences: integrality, two routes, quadrature"
     for seq_id in SEQUENCE_IDS:
         closed = generate(seq_id, 12, method="closed")
         generic = generate(seq_id, 12, method="generic")
         if closed != generic:
-            return CriterionResult(
-                "integer sequences: integrality, two routes, quadrature", False,
-                f"{seq_id}: closed and generic routes disagree")
+            return CriterionResult(name, False, f"{seq_id}: closed and generic routes disagree")
     worst = 0.0
     for seq_id in SEQUENCE_IDS:
         for r in crosscheck(seq_id, 9):
             worst = max(worst, r.rel_dev)
     return CriterionResult(
-        "integer sequences: integrality, two routes, quadrature",
-        worst < TOL_CROSSCHECK_REL,
+        name, worst < TOL_CROSSCHECK_REL,
         f"8 ids x 12 terms integral and route-consistent; "
         f"quadrature max rel dev {worst:.3e} over 9 terms (tol {TOL_CROSSCHECK_REL:g})")
 

@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 from deltapoly.bessel import (
+    CARLITZ,
     bessel_egf_check,
     bessel_poly,
-    carlitz_w,
     w_bessel_relation_check,
 )
-from deltapoly.delta import AbTriple, basic_sequence_closed
+from deltapoly.delta import basic_sequence_closed
 from deltapoly.series import (
     FormalPowerSeries,
     Poly,
+    PolySequence,
     fps_diff,
     fps_exp,
     fps_recip,
@@ -44,25 +45,37 @@ def test_bessel_poly_leading_and_constant():
         assert y.coeffs[n] == F(math.factorial(2 * n), math.factorial(n) * 2**n)
 
 
-def test_carlitz_w_matches_ab_closed_form():
-    ws = carlitz_w(12)
-    other = basic_sequence_closed(AbTriple(1, F(1, 2), 1), 12)
-    assert ws.polys == other.polys
+def test_carlitz_closed_form_matches_explicit_sum():
+    ws = basic_sequence_closed(CARLITZ, 12)
+    # w_n(t) = sum_{j<n} (n+j-1)! t^{n-j} / (j! (n-j-1)! 2^j)
+    for n in range(1, 13):
+        explicit = [F(0)] * (n + 1)
+        for j in range(n):
+            explicit[n - j] = F(math.factorial(n + j - 1),
+                                math.factorial(j) * math.factorial(n - j - 1) * 2**j)
+        assert ws[n] == Poly(explicit)
     assert ws[2] == Poly([0, 1, 1])
     assert [poly_eval(w, 2) for w in ws][:5] == [1, 2, 6, 26, 154]
+
+
+def test_w_and_y_share_one_sequence_type():
+    ys = bessel_poly(3)
+    ws = basic_sequence_closed(CARLITZ, 3)
+    assert type(ys) is PolySequence and isinstance(ws, PolySequence)
+    assert len(ys) == 4 and list(ys) == list(ys.polys) and ys[3] == ys.polys[3]
 
 
 def test_relation_w_equals_reversed_bessel():
     assert w_bessel_relation_check(1)
     assert w_bessel_relation_check(25)
     # the n = 3 instance by hand: w_3(t) = t^3 y_2(1/t)
-    ws = carlitz_w(3)
+    ws = basic_sequence_closed(CARLITZ, 3)
     assert poly_eval(ws[3], 1) == poly_eval(bessel_poly(2)[2], 1)
 
 
 def test_relation_inverse_direction():
     # y_n(t) = t^{n+1} w_{n+1}(1/t) at a rational point
-    ws = carlitz_w(7)
+    ws = basic_sequence_closed(CARLITZ, 7)
     ys = bessel_poly(6)
     t0 = F(2, 3)
     for n in range(7):

@@ -178,3 +178,24 @@ def test_unknown_oeis_id_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oeis", "--id", "A000001", "--count", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["moments", "--dist", "gamma", "--t", "inf", "--n", "0"], "--t"),
+    (["moments", "--dist", "ig", "--t", "1", "--n", "2", "--quad-tol", "nan"], "--quad-tol"),
+    (["semigroup-check", "--s", "nan", "--t", "1"], "--s"),
+    (["semigroup-check", "--s", "1", "--t", "1", "--points", ","], "--points"),
+    (["semigroup-check", "--s", "1", "--t", "1", "--points", "nan"], "--points"),
+    (["kolmogorov-check", "--x", "0.3", "--tol", "nan"], "--tol"),
+    (["factorization-check", "--t", "1", "--u-points", ","], "--u-points"),
+    (["factorization-check", "--t", "1", "--x-points", "nan"], "--x-points"),
+    (["factorization-check", "--t", "1", "--x-points=1,-inf"], "--x-points"),
+])
+def test_non_finite_real_or_empty_list_exits_two(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert flag in captured.err
+    assert captured.err.count("\n") == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltapoly.bessel import CARLITZ
 from deltapoly.delta import (
     AbTriple,
     BinomialSequence,
@@ -12,7 +13,6 @@ from deltapoly.delta import (
     basic_sequence_generic,
     binomial_identity_check,
     f_series,
-    random_triples,
 )
 from deltapoly.series import (
     FormalPowerSeries,
@@ -21,10 +21,9 @@ from deltapoly.series import (
     fps_exp,
     poly_eval,
 )
+from deltapoly.verify import random_triples
 
 F = Fraction
-
-CARLITZ = AbTriple(1, F(1, 2), 1)  # the operator D - D^2/2
 
 
 def g_series(abp, order):
@@ -165,7 +164,7 @@ def test_binomial_identity_detects_corruption():
     ws = basic_sequence_closed(CARLITZ, 4)
     bad = list(ws.polys)
     bad[2] = Poly([0, 1, 2])   # right shape, wrong leading coefficient
-    broken = BinomialSequence(tuple(bad), source="corrupted")
+    broken = BinomialSequence(tuple(bad))
     assert not binomial_identity_check(broken, 2)
 
 

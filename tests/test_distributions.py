@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from deltapoly.bessel import bessel_poly, carlitz_w
+from deltapoly.bessel import CARLITZ, bessel_poly
+from deltapoly.delta import basic_sequence_closed
 from deltapoly.distributions import (
     BesselMeasure,
     Dilated,
@@ -18,9 +19,11 @@ from deltapoly.distributions import (
     density,
     ig_sample,
     kolmogorov_check,
+    make_report,
     moment,
     moment_quadrature,
     semigroup_check,
+    worst_abs_dev,
 )
 from deltapoly.series import poly_eval
 
@@ -77,7 +80,7 @@ def test_normalization(dist):
 
 
 def test_moments_against_polynomials():
-    ws = carlitz_w(6)
+    ws = basic_sequence_closed(CARLITZ, 6)
     ys = bessel_poly(6)
     for n in range(7):
         w_exact = float(poly_eval(ws[n], 1))
@@ -160,14 +163,22 @@ def test_kolmogorov_identity():
 
 def test_factorization_check():
     reports = convolution_factorization_check(2.0, (0.0, -0.3, 0.8), (1.0, 2.5))
-    chars = [r for r in reports if r.label.startswith("char")]
-    dens = [r for r in reports if r.label.startswith("density")]
+    chars = [r for r in reports if r.kind == "char"]
+    dens = [r for r in reports if r.kind == "convolution"]
     assert len(chars) == 3 and len(dens) == 2
     assert chars[0].value_lhs == 1.0 + 0.0j    # x = 0
     for r in chars:
         assert r.abs_dev < 1e-12
     for r in dens:
         assert r.abs_dev < 1e-7
+
+
+def test_worst_abs_dev_by_kind():
+    reports = [make_report("char", "x=1", 1.0, 1.5),
+               make_report("convolution", "u=-1", 0.0, 0.0),
+               make_report("char", "x=2", 2.0, 1.0)]
+    assert worst_abs_dev(reports) == {"char": 1.0, "convolution": 0.0}
+    assert worst_abs_dev([]) == {}
 
 
 def test_factorization_char_is_bessel_char():
@@ -205,7 +216,7 @@ def test_bessel_k52():
 
 
 def test_moment_via_k_forms():
-    ws = carlitz_w(5)
+    ws = basic_sequence_closed(CARLITZ, 5)
     ys = bessel_poly(5)
     for t in (0.5, 2.0):
         for n in range(6):
