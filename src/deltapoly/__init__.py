@@ -19,7 +19,6 @@ from .series import (
     poly_eval,
     poly_from_strings,
     poly_to_strings,
-    taylor_shift,
 )
 from .delta import (
     AbTriple,
@@ -82,6 +81,6 @@ __all__ = [
     "generate", "ig_sample", "integrate_half_line", "integrate_interval",
     "kolmogorov_check", "moment", "moment_quadrature", "parse_rational",
     "poly_diff", "poly_eval", "poly_from_strings", "poly_to_strings",
-    "random_triples", "run_all", "semigroup_check", "taylor_shift",
+    "random_triples", "run_all", "semigroup_check",
     "w_bessel_relation_check", "worst_abs_dev",
 ]

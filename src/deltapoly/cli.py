@@ -6,8 +6,8 @@ Every subcommand writes one JSON envelope to stdout:
 
 with reals rendered to 17 significant digits as strings, so output is
 byte-identical across runs. --format csv swaps the envelope for a flat
-table. Exit status: 0 success, 1 a verification check failed (or a
-quadrature refused to converge), 2 bad arguments or domain errors.
+table. Exit status: 0 success, 1 a failed check, a quadrature that
+refused to converge or a closed stdout, 2 bad arguments or domain errors.
 """
 
 from __future__ import annotations
@@ -301,15 +301,21 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"deltapoly {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "csv":
-        _emit_csv(result, diagnostics)
-    else:
-        params = {dest: _echo(getattr(args, dest)) for dest in args.echoed}
-        envelope = {"command": args.command, "parameters": params, "result": result}
-        if diagnostics is not None:
-            envelope["diagnostics"] = diagnostics
-        json.dump(envelope, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    try:
+        if args.format == "csv":
+            _emit_csv(result, diagnostics)
+        else:
+            params = {dest: _echo(getattr(args, dest)) for dest in args.echoed}
+            envelope = {"command": args.command, "parameters": params, "result": result}
+            if diagnostics is not None:
+                envelope["diagnostics"] = diagnostics
+            json.dump(envelope, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

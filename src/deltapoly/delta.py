@@ -33,9 +33,6 @@ from .series import (
     FormalPowerSeries,
     Poly,
     PolySequence,
-    poly_diff,
-    poly_eval,
-    taylor_shift,
 )
 
 
@@ -93,17 +90,13 @@ class DeltaOperator:
 
 
 def apply_delta(op: DeltaOperator, p: Poly) -> Poly:
-    """sum_k g_k D^k p; finite because D lowers degree."""
-    result = Poly()
-    dk = p
-    for k in range(1, min(op.g.order, p.degree) + 1):
-        dk = poly_diff(dk)
-        if not dk:
-            break
-        c = op.g[k]
-        if c:
-            result = result + c * dk
-    return result
+    """sum_k g_k D^k p by [t^j] Q p = sum_{k>=1} g_k (j+k)!/j! p_{j+k};
+    finite because D lowers degree."""
+    c = p.coeffs
+    terms = [(k, op.g[k]) for k in range(1, min(op.g.order, p.degree) + 1) if op.g[k]]
+    return Poly([sum(gk * math.perm(j + k, k) * c[j + k]
+                     for k, gk in terms if j + k < len(c) and c[j + k])
+                 for j in range(p.degree)])
 
 
 class BinomialSequence(PolySequence):
@@ -132,9 +125,7 @@ def basic_sequence_generic(op: DeltaOperator, nmax: int) -> BinomialSequence:
     if op.g.order < nmax:
         raise ValueError("operator series truncated below nmax")
     g1 = op.g[1]
-    q_mono = [Poly()] * (nmax + 1)
-    for m in range(1, nmax + 1):
-        q_mono[m] = apply_delta(op, Poly.monomial(m))
+    q_mono = [Poly()] + [apply_delta(op, Poly.monomial(m)) for m in range(1, nmax + 1)]
     polys = [Poly([1])]
     for n in range(1, nmax + 1):
         prev = polys[n - 1].coeffs
@@ -145,7 +136,8 @@ def basic_sequence_generic(op: DeltaOperator, nmax: int) -> BinomialSequence:
             coeffs[m] = um
             if um:
                 for j, c in enumerate(q_mono[m].coeffs):
-                    residual[j] -= um * c
+                    if c:
+                        residual[j] -= um * c
         polys.append(Poly(coeffs))
     return BinomialSequence(tuple(polys))
 
@@ -189,18 +181,25 @@ def binomial_identity_check(seq: BinomialSequence, n: int) -> bool:
     s, t in {0, ..., n}.
 
     Both sides are polynomials of degree <= n in each variable, so
-    agreement on the (n+1) x (n+1) grid proves the identity.
+    agreement on the (n+1) x (n+1) grid proves the identity. Each w_k is
+    scaled by the lcm d_k of its denominators, so the compare is in integers.
     """
     if not 0 <= n < len(seq):
         raise ValueError("n out of range for this sequence")
-    pts = [Fraction(v) for v in range(n + 1)]
-    vals = [[poly_eval(seq[k], x) for x in pts] for k in range(n + 1)]
-    binom = [math.comb(n, k) for k in range(n + 1)]
-    for si, s in enumerate(pts):
-        shifted = taylor_shift(seq[n], s)
-        for ti, t in enumerate(pts):
-            lhs = poly_eval(shifted, t)
-            rhs = sum(binom[k] * vals[k][si] * vals[n - k][ti] for k in range(n + 1))
-            if lhs != rhs:
+    dens = [math.lcm(*(c.denominator for c in seq[k].coeffs)) for k in range(n + 1)]
+    vals = []  # d_k w_k(x) for x = 0..2n, by Horner's rule at all x at once
+    for k in range(n + 1):
+        row = [0] * (2 * n + 1)
+        for c in reversed(seq[k].coeffs):
+            c = c.numerator * (dens[k] // c.denominator)
+            row = [acc * x + c for x, acc in enumerate(row)]
+        vals.append(row)
+    lcm = math.lcm(*(dens[k] * dens[n - k] for k in range(n + 1)))
+    weights = [dens[n] * math.comb(n, k) * (lcm // (dens[k] * dens[n - k]))
+               for k in range(n + 1)]
+    for s in range(n + 1):
+        for t in range(n + 1):
+            rhs = sum(weights[k] * vals[k][s] * vals[n - k][t] for k in range(n + 1))
+            if vals[n][s + t] * lcm != rhs:
                 return False
     return True

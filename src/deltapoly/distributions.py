@@ -304,16 +304,18 @@ def bessel_k_half(m: int, z: float) -> float:
     Seeded by K_{1/2}(z) = sqrt(pi/(2z)) e^{-z} and lifted with the
     upward recurrence K_{v+1} = K_{v-1} + (2v/z) K_v, which is stable for
     K (it is the dominant solution in that direction). Negative orders
-    come free from K_{-v} = K_v.
+    come free from K_{-v} = K_v. Raises OverflowError when the value
+    exceeds the float range.
     """
     if not z > 0:
         raise ValueError("z must be positive")
-    if m < 0:
-        m = -m - 1  # K_{m+1/2} with m < 0 equals K_{(-m-1)+1/2}
+    order = -m - 1 if m < 0 else m  # K_{m+1/2} with m < 0 equals K_{(-m-1)+1/2}
     k_half = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
     prev, cur = k_half, k_half  # K_{-1/2}, K_{1/2}
-    for i in range(1, m + 1):
+    for i in range(1, order + 1):
         prev, cur = cur, prev + ((2 * i - 1) / z) * cur
+    if math.isinf(cur):
+        raise OverflowError(f"K_(m+1/2)(z) exceeds the float range at m={m}, z={z:g}")
     return cur
 
 

@@ -22,13 +22,10 @@ from typing import Callable, NamedTuple
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
-    max_levels: int = 12
 
     def __post_init__(self):
         if not self.rel_tol > 2.3e-16:
             raise ValueError("rel_tol must exceed machine epsilon")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -51,6 +48,7 @@ class QuadratureError(RuntimeError):
 _HALF_PI = math.pi / 2.0
 _MAX_EXP_ARG = 700.0  # math.exp overflows just above 709
 _CUTOFF = 1e-18       # relative size below which a sweep may stop
+_MAX_LEVELS = 12      # step halvings before refinement gives up
 
 
 def _half_line_sum(f: Callable[[float], float], h: float):
@@ -110,7 +108,7 @@ def _refine(level_sum: Callable[[float], float], cfg: QuadratureConfig, what: st
     h = 1.0
     prev = level_sum(h)
     err = math.inf
-    for _ in range(cfg.max_levels):
+    for _ in range(_MAX_LEVELS):
         h *= 0.5
         cur = level_sum(h)
         err = abs(cur - prev)
@@ -118,7 +116,7 @@ def _refine(level_sum: Callable[[float], float], cfg: QuadratureConfig, what: st
             return QuadResult(cur, err)
         prev = cur
     raise QuadratureError(
-        f"{what} did not converge within {cfg.max_levels} levels "
+        f"{what} did not converge within {_MAX_LEVELS} levels "
         f"(error estimate {err:.3e})", prev, err)
 
 

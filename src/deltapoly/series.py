@@ -122,21 +122,6 @@ def poly_eval(p: Poly, x: RationalLike) -> Fraction:
     return acc
 
 
-def taylor_shift(p: Poly, shift: RationalLike) -> Poly:
-    """The polynomial q with q(t) = p(t + shift)."""
-    s = Fraction(shift)
-    out: list[Fraction] = []
-    for c in reversed(p.coeffs):
-        # out <- out*(t+s) + c
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for k, v in enumerate(out):
-            nxt[k] += s * v
-            nxt[k + 1] += v
-        nxt[0] += c
-        out = nxt
-    return Poly(out)
-
-
 def poly_to_strings(p: Poly) -> list[str]:
     """Coefficients low to high as "p/q" strings (degree -1 gives [])."""
     return [format_rational(c) for c in p.coeffs]

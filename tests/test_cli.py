@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deltapoly
 from deltapoly.cli import main
 
 
@@ -199,3 +204,17 @@ def test_non_finite_real_or_empty_list_exits_two(capsys, argv, flag):
     assert captured.out == ""
     assert flag in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # about 0.3 MB of output: more than a pipe buffer holds
+    env = dict(os.environ, PYTHONPATH=str(Path(deltapoly.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "deltapoly", "fuss", "--p", "2",
+                             "--order", "1000"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from deltapoly.series import (
     Poly,
     fps_compose,
     fps_exp,
+    poly_diff,
     poly_eval,
 )
 from deltapoly.verify import random_triples
@@ -59,6 +61,29 @@ def test_apply_delta_carlitz_on_square():
     op = DeltaOperator.from_ab(CARLITZ, 4)
     # (D - D^2/2) t^2 = 2t - 1
     assert apply_delta(op, Poly([0, 0, 1])) == Poly([-1, 2])
+
+
+def defining_sum(op, p):
+    """sum_k g_k D^k p, one derivative per power of D."""
+    out, dk = Poly(), p
+    for k in range(1, op.g.order + 1):
+        dk = poly_diff(dk)
+        out = out + op.g[k] * dk
+    return out
+
+
+def test_apply_delta_matches_defining_sum():
+    rng = random.Random(808)
+    polys = [Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg + 1)])
+             for deg in (0, 1, 3, 7, 12)]
+    dense = DeltaOperator(FormalPowerSeries(
+        [0] + [F(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(12)], 12))
+    ops = [DeltaOperator.from_ab(abp, 12) for abp in random_triples(6, seed=505)]
+    ops += [DeltaOperator.forward_difference(12), dense,
+            DeltaOperator.from_ab(CARLITZ, 3)]   # order 3 < deg p for most p
+    for op in ops:
+        for p in polys:
+            assert apply_delta(op, p) == defining_sum(op, p)
 
 
 def test_closed_form_small_cases():
@@ -166,6 +191,20 @@ def test_binomial_identity_detects_corruption():
     bad[2] = Poly([0, 1, 2])   # right shape, wrong leading coefficient
     broken = BinomialSequence(tuple(bad))
     assert not binomial_identity_check(broken, 2)
+
+
+def test_binomial_identity_catches_one_perturbed_coefficient():
+    abp = random_triples(3, seed=707)[2]
+    ws = basic_sequence_closed(abp, 12)
+    dens = {math.lcm(*(c.denominator for c in w.coeffs)) for w in ws}
+    assert len(dens) > 1   # the integer compare rescales each row differently
+    bad = list(ws.polys)
+    coeffs = list(bad[7].coeffs)
+    coeffs[3] += F(1, 7)
+    bad[7] = Poly(coeffs)
+    broken = BinomialSequence(tuple(bad))
+    for n in range(13):
+        assert binomial_identity_check(broken, n) == (n < 7)
 
 
 def test_delta_action_random_triples():

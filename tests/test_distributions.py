@@ -200,6 +200,12 @@ def test_bessel_k_half_base_and_symmetry():
         bessel_k_half(0, 0.0)
 
 
+@pytest.mark.parametrize("m,z", [(300, 0.01), (200, 1.0), (-301, 0.01)])
+def test_bessel_k_half_overflow_is_loud(m, z):
+    with pytest.raises(OverflowError, match=f"m={m}, z={z:g}"):
+        bessel_k_half(m, z)
+
+
 def test_bessel_k_recurrence_vs_integral():
     for m in range(6):
         for z in (0.5, 1.0, 2.0, 5.0):

@@ -13,8 +13,6 @@ from deltapoly.quadrature import (
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=1e-17)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_levels=0)
 
 
 def test_half_line_exponential():
@@ -61,8 +59,18 @@ def test_interval_rejects_empty():
 
 
 def test_nonconvergence_carries_estimate():
-    cfg = QuadratureConfig(rel_tol=1e-10, max_levels=1)
+    # a jump inside the interval defeats the double-exponential rate
     with pytest.raises(QuadratureError) as info:
-        integrate_interval(lambda x: math.sin(40.0 * x) ** 2, 0.0, 3.0, cfg)
-    assert math.isfinite(info.value.value)
-    assert info.value.error > 0.0
+        integrate_interval(lambda x: 1.0 if x < 2.0 else 0.0, 0.0, 3.0)
+    assert info.value.value == pytest.approx(2.0, abs=1e-3)
+    assert 0.0 < info.value.error < 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the three-tiny-terms stop "
+                   "fires on the zeros next to the midpoint and returns 0 with error 0")
+def test_interval_step_left_of_midpoint_is_not_silently_zero():
+    try:
+        r = integrate_interval(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, 3.0)
+    except QuadratureError:
+        return
+    assert abs(r.value - 1.0) <= 1e-6 + r.error

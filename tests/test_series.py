@@ -18,7 +18,6 @@ from deltapoly.series import (
     poly_eval,
     poly_from_strings,
     poly_to_strings,
-    taylor_shift,
 )
 
 F = Fraction
@@ -53,22 +52,6 @@ def test_poly_eval():
     assert poly_eval(Poly([5]), F(9, 7)) == 5
     assert poly_eval(Poly([0, 3, 3, 1]), 1) == 7       # t^3 + 3t^2 + 3t at 1
     assert poly_eval(Poly(), 4) == 0
-
-
-def test_taylor_shift():
-    assert taylor_shift(Poly([0, 0, 1]), 1) == Poly([1, 2, 1])
-    p = Poly([3, F(1, 2), 0, 2])
-    assert taylor_shift(p, 0) == p
-    assert taylor_shift(taylor_shift(p, -1), 1) == p
-
-
-def test_taylor_shift_matches_eval():
-    rng = random.Random(5)
-    for _ in range(20):
-        p = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 7))])
-        s = F(rng.randint(-4, 4), rng.randint(1, 4))
-        x = F(rng.randint(-4, 4), rng.randint(1, 4))
-        assert poly_eval(taylor_shift(p, s), x) == poly_eval(p, x + s)
 
 
 def test_poly_string_round_trip():
