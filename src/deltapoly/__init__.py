@@ -9,7 +9,6 @@ from .series import (
     PolySequence,
     format_rational,
     fps_compose,
-    fps_diff,
     fps_exp,
     fps_recip,
     fps_reverse,
@@ -17,7 +16,6 @@ from .series import (
     parse_rational,
     poly_diff,
     poly_eval,
-    poly_from_strings,
     poly_to_strings,
 )
 from .delta import (
@@ -76,11 +74,11 @@ __all__ = [
     "bessel_k_half", "bessel_k_quadrature", "bessel_poly",
     "binomial_identity_check", "char_fun", "char_fun_quadrature",
     "convolution_factorization_check", "crosscheck", "density",
-    "f_series", "format_rational", "fps_compose", "fps_diff", "fps_exp",
-    "fps_recip", "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",
+    "f_series", "format_rational", "fps_compose", "fps_exp", "fps_recip",
+    "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",
     "generate", "ig_sample", "integrate_half_line", "integrate_interval",
     "kolmogorov_check", "moment", "moment_quadrature", "parse_rational",
-    "poly_diff", "poly_eval", "poly_from_strings", "poly_to_strings",
+    "poly_diff", "poly_eval", "poly_to_strings",
     "random_triples", "run_all", "semigroup_check",
     "w_bessel_relation_check", "worst_abs_dev",
 ]

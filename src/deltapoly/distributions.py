@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -139,9 +140,11 @@ def moment_quadrature(dist: DistSpec, n: int,
 
     def integrand(u: float) -> float:
         d = density(dist, u)
-        # skip u**n when the density tail already underflowed; u**n alone
-        # can overflow at the rule's most extreme nodes
-        return 0.0 if d == 0.0 else u**n * d
+        # u**n can overflow at the extreme nodes: skip it where the density underflowed
+        try:
+            return 0.0 if d == 0.0 else u**n * d
+        except OverflowError:
+            raise OverflowError(f"moment n={n} of {dist}: u**n exceeds the float range") from None
 
     return integrate_half_line(
         integrand, cfg,
@@ -304,16 +307,26 @@ def bessel_k_half(m: int, z: float) -> float:
     Seeded by K_{1/2}(z) = sqrt(pi/(2z)) e^{-z} and lifted with the
     upward recurrence K_{v+1} = K_{v-1} + (2v/z) K_v, which is stable for
     K (it is the dominant solution in that direction). Negative orders
-    come free from K_{-v} = K_v. Raises OverflowError when the value
-    exceeds the float range.
+    come free from K_{-v} = K_v. A seed below the normal range is lifted as
+    e^z K, kept finite by powers of two, with e^{-z} applied in log space.
+    Raises OverflowError or ArithmeticError outside the normal float range.
     """
     if not z > 0:
         raise ValueError("z must be positive")
     order = -m - 1 if m < 0 else m  # K_{m+1/2} with m < 0 equals K_{(-m-1)+1/2}
-    k_half = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
-    prev, cur = k_half, k_half  # K_{-1/2}, K_{1/2}
+    seed = math.sqrt(math.pi / (2.0 * z))
+    scaled = seed * math.exp(-z) < sys.float_info.min
+    prev = cur = seed if scaled else seed * math.exp(-z)  # K_{-1/2}, K_{1/2}
+    shift = 0  # on the scaled route, K = cur 2^shift e^{-z}
     for i in range(1, order + 1):
         prev, cur = cur, prev + ((2 * i - 1) / z) * cur
+        if scaled and cur > 2.0**1000:
+            prev, cur, shift = prev * 2.0**-1000, cur * 2.0**-1000, shift + 1000
+    if scaled:
+        log_k = math.log(cur) + shift * math.log(2.0) - z
+        if log_k < math.log(sys.float_info.min):
+            raise ArithmeticError(f"K_(m+1/2)(z) is below the normal range at m={m}, z={z:g}")
+        cur = math.exp(log_k) if log_k < math.log(sys.float_info.max) else math.inf
     if math.isinf(cur):
         raise OverflowError(f"K_(m+1/2)(z) exceeds the float range at m={m}, z={z:g}")
     return cur

@@ -1,12 +1,14 @@
 """Exact kernels: rationals, dense polynomials, truncated power series.
 
-Coefficients are `fractions.Fraction` throughout, so they are always in
-lowest terms with positive denominator and never overflow. All objects
-here are immutable and all operations are pure functions.
+Coefficients are `fractions.Fraction` at the API, so they are always in
+lowest terms with positive denominator and never overflow. The series
+kernels compute on integer numerators over one common denominator. All
+objects here are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -32,6 +34,23 @@ def _strip(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _over_lcm(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm d of the denominators: c_k = nums[k]/d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _int_mul(xs: list[int], ys: list[int], n: int) -> list[int]:
+    """Integer convolution of xs and ys truncated after index n."""
+    out = [0] * (n + 1)
+    for i, a in enumerate(xs[:n + 1]):
+        if a:
+            for j, b in enumerate(ys[:n + 1 - i], i):
+                if b:
+                    out[j] += a * b
+    return out
 
 
 class Poly:
@@ -125,10 +144,6 @@ def poly_eval(p: Poly, x: RationalLike) -> Fraction:
 def poly_to_strings(p: Poly) -> list[str]:
     """Coefficients low to high as "p/q" strings (degree -1 gives [])."""
     return [format_rational(c) for c in p.coeffs]
-
-
-def poly_from_strings(coeffs: Iterable[str]) -> Poly:
-    return Poly([parse_rational(c) for c in coeffs])
 
 
 @dataclass(frozen=True)
@@ -230,15 +245,9 @@ class FormalPowerSeries:
     def __mul__(self, other) -> "FormalPowerSeries":
         if isinstance(other, FormalPowerSeries):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                a = self.coeffs[i]
-                if a:
-                    for j in range(n + 1 - i):
-                        b = other.coeffs[j]
-                        if b:
-                            out[i + j] += a * b
-            return FormalPowerSeries(out, n)
+            xs, dx = _over_lcm(self.coeffs[:n + 1])
+            ys, dy = _over_lcm(other.coeffs[:n + 1])
+            return FormalPowerSeries([Fraction(c, dx * dy) for c in _int_mul(xs, ys, n)], n)
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
             return FormalPowerSeries([s * c for c in self.coeffs], self.order)
@@ -264,14 +273,6 @@ class FormalPowerSeries:
         return f"FormalPowerSeries({[str(c) for c in self.coeffs]})"
 
 
-def fps_diff(f: FormalPowerSeries) -> FormalPowerSeries:
-    """Formal derivative; the order drops by one."""
-    if f.order < 1:
-        raise ValueError("cannot differentiate an order-0 truncation")
-    return FormalPowerSeries(
-        [k * f.coeffs[k] for k in range(1, f.order + 1)], f.order - 1)
-
-
 def fps_compose(outer: FormalPowerSeries, inner: FormalPowerSeries) -> FormalPowerSeries:
     """outer(inner(x)); inner must have zero constant term."""
     if inner[0] != 0:
@@ -285,57 +286,66 @@ def fps_compose(outer: FormalPowerSeries, inner: FormalPowerSeries) -> FormalPow
 
 
 def fps_recip(f: FormalPowerSeries) -> FormalPowerSeries:
-    """Multiplicative inverse; needs a nonzero constant term."""
+    """Multiplicative inverse; needs a nonzero constant term. Over integers,
+    [x^m] 1/f = d S_m / F_0^(m+1), S_m = -sum_{k=1..m} F_k F_0^(k-1) S_{m-k}."""
     if f[0] == 0:
         raise ValueError("reciprocal needs a nonzero constant term")
     n = f.order
-    inv0 = 1 / f.coeffs[0]
-    out = [inv0] + [Fraction(0)] * n
+    fs, d = _over_lcm(f.coeffs)
+    gs = [fs[k] * fs[0] ** (k - 1) for k in range(1, n + 1)]
+    s = [1]
     for m in range(1, n + 1):
-        out[m] = -inv0 * sum(f.coeffs[k] * out[m - k] for k in range(1, m + 1))
-    return FormalPowerSeries(out, n)
+        s.append(-sum(g * s[m - k] for k, g in enumerate(gs[:m], 1) if g))
+    return FormalPowerSeries([Fraction(d * c, fs[0] ** (m + 1)) for m, c in enumerate(s)], n)
 
 
 def fps_exp(f: FormalPowerSeries) -> FormalPowerSeries:
     """exp(f) for f with zero constant term, via e' = f' e:
-    m e_m = sum_{k=1..m} k f_k e_{m-k}."""
+    m e_m = sum_{k=1..m} k f_k e_{m-k}. Over integers, e_m = E_m / (n! d^m),
+    E_0 = n!, m E_m = sum_k k F_k d^(k-1) E_{m-k}; the division by m is exact."""
     if f[0] != 0:
         raise ValueError("exp needs a zero constant term")
     n = f.order
-    out = [Fraction(1)] + [Fraction(0)] * n
+    fs, d = _over_lcm(f.coeffs)
+    hs = [k * fs[k] * d ** (k - 1) for k in range(1, n + 1)]
+    e = [math.factorial(n)]
     for m in range(1, n + 1):
-        out[m] = sum(k * f.coeffs[k] * out[m - k] for k in range(1, m + 1)) / m
-    return FormalPowerSeries(out, n)
+        e.append(sum(h * e[m - k] for k, h in enumerate(hs[:m], 1) if h) // m)
+    return FormalPowerSeries([Fraction(c, e[0] * d**m) for m, c in enumerate(e)], n)
 
 
 def fps_sqrt(f: FormalPowerSeries) -> FormalPowerSeries:
-    """Square root with constant term 1: s_m = (f_m - sum s_i s_{m-i})/2."""
+    """Square root with constant term 1: s_m = (f_m - sum s_i s_{m-i})/2.
+    Over integers, s_m = S_m / (4d)^m, S_m = (4^m d^(m-1) F_m - sum S_i S_{m-i})/2;
+    every S_m with m >= 1 is even, so the halving is exact."""
     if f[0] != 1:
         raise ValueError("sqrt needs constant term 1")
     n = f.order
-    out = [Fraction(1)] + [Fraction(0)] * n
+    fs, d = _over_lcm(f.coeffs)
+    s = [1]
     for m in range(1, n + 1):
-        cross = sum(out[i] * out[m - i] for i in range(1, m))
-        out[m] = (f.coeffs[m] - cross) / 2
-    return FormalPowerSeries(out, n)
+        cross = sum(s[i] * s[m - i] for i in range(1, m))
+        s.append((4**m * d ** (m - 1) * fs[m] - cross) // 2)
+    return FormalPowerSeries([Fraction(c, (4 * d) ** m) for m, c in enumerate(s)], n)
 
 
 def fps_reverse(g: FormalPowerSeries) -> FormalPowerSeries:
     """Compositional inverse of g with g(0) = 0, g'(0) != 0.
 
-    Lagrange inversion: k [x^k] f = [x^{k-1}] (x/g)^k.
+    Lagrange inversion: k [x^k] f = [x^{k-1}] (x/g)^k, with the powers of
+    x/g kept as integers over one denominator, reduced once per power.
     """
     if g.order < 1 or g[0] != 0:
         raise ValueError("reversion needs a zero constant term")
     if g[1] == 0:
         raise ValueError("reversion needs a nonzero linear coefficient")
     n = g.order
-    over_x = FormalPowerSeries(g.coeffs[1:], n - 1)  # g(x)/x
-    r = fps_recip(over_x)
-    out = [Fraction(0)] * (n + 1)
-    out[1] = r[0]
-    power = r
+    rs, dr = _over_lcm(fps_recip(FormalPowerSeries(g.coeffs[1:], n - 1)).coeffs)
+    out = [Fraction(0), Fraction(rs[0], dr)]
+    power, den = rs, dr
     for k in range(2, n + 1):
-        power = power * r
-        out[k] = power[k - 1] / k
+        power, den = _int_mul(power, rs, n - 1), den * dr
+        c = math.gcd(den, *power)
+        power, den = [p // c for p in power], den // c
+        out.append(Fraction(power[k - 1], k * den))
     return FormalPowerSeries(out, n)

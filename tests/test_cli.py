@@ -158,6 +158,15 @@ def test_domain_error_exits_two(capsys):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("dist,name", [("ig", "InverseGaussian"), ("gamma", "GammaHalf")])
+def test_moment_overflow_names_n_and_the_law(capsys, dist, name):
+    code, out, err = run(capsys, "moments", "--dist", dist, "--t", "1", "--n", "200")
+    assert code == 2
+    assert out == ""
+    assert "\n" not in err.strip()
+    assert "n=200" in err and f"{name}(t=1.0)" in err
+
+
 def test_bad_rational_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basic-poly", "--a", "x", "--b", "1", "--p", "1", "--n", "2"])

@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,10 +202,51 @@ def test_bessel_k_half_base_and_symmetry():
         bessel_k_half(0, 0.0)
 
 
-@pytest.mark.parametrize("m,z", [(300, 0.01), (200, 1.0), (-301, 0.01)])
+@pytest.mark.parametrize("m,z", [(300, 0.01), (200, 1.0), (-301, 0.01), (3000, 750.0)])
 def test_bessel_k_half_overflow_is_loud(m, z):
     with pytest.raises(OverflowError, match=f"m={m}, z={z:g}"):
         bessel_k_half(m, z)
+
+
+def log_k_half_via_bessel_poly(m, z):
+    """log K_(m+1/2)(z) from the paper's link sqrt(pi/(2z)) e^(-z) y_m(1/z),
+    with y_m(1/z) exact from y_n = (2n-1) x y_(n-1) + y_(n-2)."""
+    x = 1 / Fraction(z)
+    prev, cur = Fraction(1), 1 + x  # y_0, y_1
+    for n in range(2, m + 1):
+        prev, cur = cur, (2 * n - 1) * x * cur + prev
+    y = prev if m == 0 else cur
+    return 0.5 * math.log(math.pi / (2 * z)) - z + math.log(y.numerator) - math.log(y.denominator)
+
+
+@pytest.mark.parametrize("m,z", [(1000, 750.0), (300, 760.0), (1100, 750.0), (-1001, 750.0)])
+def test_bessel_k_half_where_exp_minus_z_underflows(m, z):
+    # the seed e^(-z) underflows here; at (1100, 750) the lifted e^z K also
+    # passes 2^1000 and is rescaled
+    order = -m - 1 if m < 0 else m
+    assert math.log(bessel_k_half(m, z)) == pytest.approx(
+        log_k_half_via_bessel_poly(order, z), rel=0, abs=1e-11)
+
+
+@pytest.mark.parametrize("m,z", [(0, 740.0), (5, 745.0), (0, 800.0), (10, 1e6)])
+def test_bessel_k_half_below_the_float_range_is_loud(m, z):
+    assert log_k_half_via_bessel_poly(m, z) < math.log(sys.float_info.min)
+    where = re.escape(f"below the normal range at m={m}, z={z:g}")
+    with pytest.raises(ArithmeticError, match=where):
+        bessel_k_half(m, z)
+
+
+def test_bessel_k_half_is_unchanged_where_the_seed_is_normal():
+    def upward(m, z):  # the recurrence on the unscaled seed, the bit-exact reference
+        k_half = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
+        prev, cur = k_half, k_half
+        for i in range(1, (-m - 1 if m < 0 else m) + 1):
+            prev, cur = cur, prev + ((2 * i - 1) / z) * cur
+        return cur
+    # the bessel_k_routes grid: m = 0..10 and -1..-9 at its z and 1/t values
+    for m in range(-9, 11):
+        for z in (0.5, 1.0, 2.0, 5.0, 700.0):
+            assert bessel_k_half(m, z) == upward(m, z)
 
 
 def test_bessel_k_recurrence_vs_integral():

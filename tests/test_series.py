@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from deltapoly.delta import AbTriple, DeltaOperator, f_series
 from deltapoly.series import (
     FormalPowerSeries,
     Poly,
     format_rational,
     fps_compose,
-    fps_diff,
     fps_exp,
     fps_recip,
     fps_reverse,
@@ -16,11 +16,23 @@ from deltapoly.series import (
     parse_rational,
     poly_diff,
     poly_eval,
-    poly_from_strings,
     poly_to_strings,
 )
+from deltapoly.verify import random_triples
 
 F = Fraction
+
+
+def poly_from_strings(coeffs):
+    return Poly([parse_rational(c) for c in coeffs])
+
+
+def fps_diff(f):
+    """Formal derivative; the order drops by one."""
+    if f.order < 1:
+        raise ValueError("cannot differentiate an order-0 truncation")
+    return FormalPowerSeries(
+        [k * f.coeffs[k] for k in range(1, f.order + 1)], f.order - 1)
 
 
 def test_rational_wire_format():
@@ -176,3 +188,98 @@ def test_diff():
     assert fps_diff(f).coeffs == (1, 10, 21)
     with pytest.raises(ValueError):
         fps_diff(FormalPowerSeries([1], 0))
+
+
+# -- the Fraction recurrences the integer kernels replaced, as references ------
+
+def ref_mul(f, g):
+    n = min(f.order, g.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += f[i] * g[j]
+    return FormalPowerSeries(out, n)
+
+
+def ref_recip(f):
+    n = f.order
+    inv0 = 1 / f[0]
+    out = [inv0] + [F(0)] * n
+    for m in range(1, n + 1):
+        out[m] = -inv0 * sum(f[k] * out[m - k] for k in range(1, m + 1))
+    return FormalPowerSeries(out, n)
+
+
+def ref_exp(f):
+    n = f.order
+    out = [F(1)] + [F(0)] * n
+    for m in range(1, n + 1):
+        out[m] = sum(k * f[k] * out[m - k] for k in range(1, m + 1)) / m
+    return FormalPowerSeries(out, n)
+
+
+def ref_sqrt(f):
+    n = f.order
+    out = [F(1)] + [F(0)] * n
+    for m in range(1, n + 1):
+        out[m] = (f[m] - sum(out[i] * out[m - i] for i in range(1, m))) / 2
+    return FormalPowerSeries(out, n)
+
+
+def ref_reverse(g):
+    n = g.order
+    r = ref_recip(FormalPowerSeries(g.coeffs[1:], n - 1))
+    out = [F(0)] * (n + 1)
+    out[1] = r[0]
+    power = r
+    for k in range(2, n + 1):
+        power = ref_mul(power, r)
+        out[k] = power[k - 1] / k
+    return FormalPowerSeries(out, n)
+
+
+def dense(rng, first, order, den=5):
+    rest = [F(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(order)]
+    return FormalPowerSeries([first] + rest, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 150])
+def test_product_recip_exp_sqrt_match_fraction_recurrences(order):
+    rng = random.Random(1300 + order)
+    f, g = dense(rng, F(2, 3), order), dense(rng, F(-5, 4), order)
+    assert f * g == ref_mul(f, g)
+    assert g * f.truncate(order // 2) == ref_mul(g, f.truncate(order // 2))
+    for f0 in (F(-3, 5), F(-1), F(4)):  # negative F_0, and an integer one
+        f = dense(rng, f0, order)
+        assert fps_recip(f) == ref_recip(f)
+    f = dense(rng, F(0), order)
+    assert fps_exp(f) == ref_exp(f)
+    for den in (1, 2, 3, 5):  # lcm d = 1, 2, 6, 60 at order 150: odd and even
+        f = dense(rng, F(1), order, den)
+        assert fps_sqrt(f) == ref_sqrt(f)
+
+
+def test_sparse_inputs_match_fraction_recurrences():
+    x = FormalPowerSeries.identity(40)
+    f = 1 + FormalPowerSeries([0, 0, 0, F(-7, 3)], 40)
+    assert fps_recip(f) == ref_recip(f)
+    assert fps_sqrt(f) == ref_sqrt(f)
+    assert fps_exp(f - 1) == ref_exp(f - 1)
+    assert f * x == ref_mul(f, x)
+
+
+@pytest.mark.parametrize("order", [1, 2, 40])
+def test_reverse_matches_fraction_recurrence(order):
+    # sparse g: seeded triples with p = 3, 2, 1
+    gs = [DeltaOperator.from_ab(abp, order).g.truncate(order) for abp in random_triples(3, 1308)]
+    gs.append(DeltaOperator.forward_difference(order).g)  # dense g = exp(x) - 1
+    gs.append(dense(random.Random(order), F(0), order) + FormalPowerSeries([0, F(-2, 7)], order))
+    for g in gs:
+        assert fps_reverse(g) == ref_reverse(g)
+
+
+def test_sparse_reverse_at_order_150_is_the_fuss_series():
+    # too slow for the Fraction reference; f_series is an independent oracle
+    for abp in (AbTriple(F(2, 3), F(-3, 5), 2), AbTriple(F(-4, 5), F(5, 2), 3)):
+        g = DeltaOperator.from_ab(abp, 150).g
+        assert fps_reverse(g) == f_series(abp, 150)
