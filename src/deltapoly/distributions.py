@@ -41,6 +41,8 @@ from .quadrature import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# Above nu**2 for every normal nu that Random.gauss returns: -2 log(2**-53) = 73.47
+_MAX_Y = 74.0
 
 
 @dataclass(frozen=True)
@@ -359,23 +361,27 @@ def ig_sample(t: float, seed: int, count: int) -> list[float]:
     "Generating random variates using transformations with multiple
     roots", The American Statistician 30 (1976) 88-90: solve the inverse
     of the chi-square transform y = t(u-t)^2/(t^2 u) and pick the root
-    with the right probability.
+    with the right probability. The larger root has no cancellation; the
+    smaller is t^2 / larger, since the two multiply to mu^2.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     if count < 0:
         raise ValueError("count must be >= 0")
-    rng = random.Random(seed)
     mu = t
     lam = t * t
+    if lam < sys.float_info.min or not math.isfinite(4.0 * mu * lam * _MAX_Y):
+        raise ValueError(f"t={t!r} is outside the sampler's range, about 1.5e-154 to 8.4e101")
+    rng = random.Random(seed)
     out = []
     for _ in range(count):
         nu = rng.gauss(0.0, 1.0)
         y = nu * nu
-        x = mu + mu * mu * y / (2.0 * lam) \
-            - (mu / (2.0 * lam)) * math.sqrt(4.0 * mu * lam * y + mu * mu * y * y)
+        big = mu + mu * mu * y / (2.0 * lam) \
+            + (mu / (2.0 * lam)) * math.sqrt(4.0 * mu * lam * y + mu * mu * y * y)
+        x = mu * mu / big
         if rng.random() * (mu + x) <= mu:
             out.append(x)
         else:
-            out.append(mu * mu / x)
+            out.append(big)
     return out

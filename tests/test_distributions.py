@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -299,6 +301,38 @@ def test_ig_sample_rejects_bad_parameters():
         ig_sample(0.0, 1, 10)
     with pytest.raises(ValueError):
         ig_sample(1.0, 1, -1)
+    # t*t below the normal range, or 4 t^3 y overflowing for some y = nu^2
+    for t in (1e-200, 1.4e-154, 8.5e101, 3.6e102, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
+            ig_sample(t, 1, 10)
+
+
+def _ig_root_50_digits(t: float, y: float, u: float) -> Decimal:
+    """The sampler's pick between the two roots of the chi-square
+    transform, each root by the textbook formula at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, y = Decimal(t), Decimal(y)
+        lam = mu * mu
+        small = mu + mu * mu * y / (2 * lam) \
+            - (mu / (2 * lam)) * (4 * mu * lam * y + mu * mu * y * y).sqrt()
+        return small if Decimal(u) * (mu + small) <= mu else mu * mu / small
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-8, 1e-6, 1e-3])
+def test_ig_sample_matches_50_digit_roots(t):
+    # the same calls in the same order as the sampler: one normal, then one uniform
+    rng = random.Random(7193)
+    draws = ig_sample(t, 7193, 1000)
+    for v in draws:
+        nu = rng.gauss(0.0, 1.0)
+        exact = _ig_root_50_digits(t, nu * nu, rng.random())
+        assert abs(Decimal(v) - exact) <= Decimal("1e-13") * exact
+
+
+@pytest.mark.parametrize("t", [1.5e-154, 1e-8, 8.4e101])
+def test_ig_sample_draws_are_finite_and_positive(t):
+    assert all(0.0 < v < math.inf for v in ig_sample(t, 7193, 100_000))
 
 
 def test_moment_quadrature_reports_error_estimate():
