@@ -372,16 +372,28 @@ def ig_sample(t: float, seed: int, count: int) -> list[float]:
     lam = t * t
     if lam < sys.float_info.min or not math.isfinite(4.0 * mu * lam * _MAX_Y):
         raise ValueError(f"t={t!r} is outside the sampler's range, about 1.5e-154 to 8.4e101")
-    rng = random.Random(seed)
+    # Random.gauss inlined: each turn makes its Box-Muller pair, cos then sin,
+    # and draws each normal's acceptance uniform right after it, so the
+    # stream is the one of gauss(0.0, 1.0) followed by random()
+    random_ = random.Random(seed).random
+    sqrt, log, cos, sin, tau = math.sqrt, math.log, math.cos, math.sin, math.tau
+    mm, two_lam, c, four_ml = mu * mu, 2.0 * lam, mu / (2.0 * lam), 4.0 * mu * lam
     out = []
-    for _ in range(count):
-        nu = rng.gauss(0.0, 1.0)
+    append = out.append
+    for _ in range((count + 1) // 2):
+        x2pi = random_() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - random_()))
+        nu = cos(x2pi) * g2rad
         y = nu * nu
-        big = mu + mu * mu * y / (2.0 * lam) \
-            + (mu / (2.0 * lam)) * math.sqrt(4.0 * mu * lam * y + mu * mu * y * y)
-        x = mu * mu / big
-        if rng.random() * (mu + x) <= mu:
-            out.append(x)
-        else:
-            out.append(big)
+        mmy = mm * y
+        big = mu + mmy / two_lam + c * sqrt(four_ml * y + mmy * y)
+        x = mm / big
+        append(x if random_() * (mu + x) <= mu else big)
+        nu = sin(x2pi) * g2rad
+        y = nu * nu
+        mmy = mm * y
+        big = mu + mmy / two_lam + c * sqrt(four_ml * y + mmy * y)
+        x = mm / big
+        append(x if random_() * (mu + x) <= mu else big)
+    del out[count:]  # an odd count drops the last draw
     return out

@@ -350,6 +350,11 @@ def test_ig_sample_stream_is_pinned(t, n):
     assert hashlib.sha256(packed).hexdigest()[:16] == STREAM_PINS[t, n]
 
 
+def test_ig_sample_shorter_counts_are_prefixes():
+    full = ig_sample(1.0, 3, 6)
+    assert [ig_sample(1.0, 3, n) for n in range(6)] == [full[:n] for n in range(6)]
+
+
 @pytest.mark.parametrize("t", [1.5e-154, 1e-8, 8.4e101])
 def test_ig_sample_draws_are_finite_and_positive(t):
     assert all(0.0 < v < math.inf for v in ig_sample(t, 7193, 100_000))
