@@ -8,8 +8,11 @@ step, and integrable endpoint singularities are harmless.
 
 Each level halves the step h and recomputes the sum; two successive
 levels within rel_tol of each other stop the refinement, and the last
-difference is reported as the error estimate. Complex-valued integrands
-work unchanged.
+difference is reported as the error estimate. A level whose sum rests
+on fewer than _MIN_SIGNIFICANT non-tiny terms is never accepted: every
+node can miss the mass of the integrand (it lies far from u = 1, or far
+from the midpoint), and two all-zero levels would otherwise agree on 0.
+Complex-valued integrands work unchanged.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ _HALF_PI = math.pi / 2.0
 _MAX_EXP_ARG = 700.0  # math.exp overflows just above 709
 _CUTOFF = 1e-18       # relative size below which a sweep may stop
 _MAX_LEVELS = 12      # step halvings before refinement gives up
+_MIN_SIGNIFICANT = 8  # non-tiny off-centre terms a level needs to be accepted
 
 
-def _half_line_sum(f: Callable[[float], float], h: float):
+def _half_line_sum(f: Callable[[float], float], h: float) -> tuple[float, int]:
     total = f(1.0) * _HALF_PI  # the w = 0 node, where u = 1
+    significant = 0
     for sign in (1.0, -1.0):
         tiny_run = 0
         k = 1
@@ -70,14 +75,17 @@ def _half_line_sum(f: Callable[[float], float], h: float):
                     break
             else:
                 tiny_run = 0
+                significant += 1
             k += 1
-    return total * h
+    return total * h, significant
 
 
-def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
+def _interval_sum(f: Callable[[float], float], a: float, b: float,
+                  h: float) -> tuple[float, int]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     total = f(mid) * (_HALF_PI * half)
+    significant = 0
     for sign in (1.0, -1.0):
         tiny_run = 0
         k = 1
@@ -100,21 +108,27 @@ def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
                     break
             else:
                 tiny_run = 0
+                significant += 1
             k += 1
-    return total * h
+    return total * h, significant
 
 
-def _refine(level_sum: Callable[[float], float], cfg: QuadratureConfig, what: str) -> QuadResult:
+def _refine(level_sum: Callable[[float], tuple[float, int]], cfg: QuadratureConfig,
+            what: str) -> QuadResult:
     h = 1.0
-    prev = level_sum(h)
+    prev, _ = level_sum(h)
     err = math.inf
     for _ in range(_MAX_LEVELS):
         h *= 0.5
-        cur = level_sum(h)
+        cur, significant = level_sum(h)
         err = abs(cur - prev)
-        if err <= cfg.rel_tol * max(abs(cur), abs(prev)):
+        if err <= cfg.rel_tol * max(abs(cur), abs(prev)) and significant >= _MIN_SIGNIFICANT:
             return QuadResult(cur, err)
         prev = cur
+    if significant < _MIN_SIGNIFICANT:
+        raise QuadratureError(
+            f"{what} refused: only {significant} significant nodes at the last of "
+            f"{_MAX_LEVELS} levels (needs {_MIN_SIGNIFICANT})", prev, err)
     raise QuadratureError(
         f"{what} did not converge within {_MAX_LEVELS} levels "
         f"(error estimate {err:.3e})", prev, err)

@@ -167,6 +167,15 @@ def test_moment_overflow_names_n_and_the_law(capsys, dist, name):
     assert "n=200" in err and f"{name}(t=1.0)" in err
 
 
+@pytest.mark.parametrize("dist,t", [("ig", "100"), ("gamma", "1e-5")])
+def test_refused_quadrature_exits_one(capsys, dist, t):
+    code, out, err = run(capsys, "moments", "--dist", dist, "--t", t, "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "\n" not in err.strip()
+    assert "significant nodes" in err
+
+
 def test_bad_rational_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basic-poly", "--a", "x", "--b", "1", "--p", "1", "--n", "2"])

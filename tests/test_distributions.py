@@ -31,7 +31,9 @@ from deltapoly.distributions import (
     semigroup_check,
     worst_abs_dev,
 )
+from deltapoly.quadrature import QuadratureError
 from deltapoly.series import poly_eval
+from deltapoly.verify import TOL_MOMENT_REL
 
 ALL_KINDS = [
     InverseGaussian(1.0),
@@ -358,6 +360,32 @@ def test_ig_sample_shorter_counts_are_prefixes():
 @pytest.mark.parametrize("t", [1.5e-154, 1e-8, 8.4e101])
 def test_ig_sample_draws_are_finite_and_positive(t):
     assert all(0.0 < v < math.inf for v in ig_sample(t, 7193, 100_000))
+
+
+SURVEY_NS = (0, 1, 2, 4, 8, 16, 30)
+
+
+def test_moment_survey_is_right_or_raises():
+    # three laws, t = 1e-6 ... 1e8 by decades, 315 cells: where the nodes
+    # miss a law's mass the quadrature must raise, never return a wrong value
+    ws, ys = basic_sequence_closed(CARLITZ, 30), bessel_poly(30)
+    exact = {
+        InverseGaussian: lambda t, n: poly_eval(ws[n], t),
+        GammaHalf: lambda t, n: t**n * math.prod(range(2 * n - 1, 0, -2)),
+        BesselMeasure: lambda t, n: poly_eval(ys[n], t),
+    }
+    right = 0
+    for law, moment_of in exact.items():
+        for d in range(-6, 9):
+            for n in SURVEY_NS:
+                try:
+                    q = moment_quadrature(law(10.0**d), n)
+                except (QuadratureError, OverflowError):
+                    continue
+                want = float(moment_of(Fraction(10.0**d), n))
+                assert abs(q.value - want) <= TOL_MOMENT_REL * want, (law, d, n)
+                right += 1
+    assert right >= 243
 
 
 def test_moment_quadrature_reports_error_estimate():

@@ -66,11 +66,26 @@ def test_nonconvergence_carries_estimate():
     assert 0.0 < info.value.error < 1e-3
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the three-tiny-terms stop "
-                   "fires on the zeros next to the midpoint and returns 0 with error 0")
 def test_interval_step_left_of_midpoint_is_not_silently_zero():
     try:
         r = integrate_interval(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, 3.0)
     except QuadratureError:
         return
     assert abs(r.value - 1.0) <= 1e-6 + r.error
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_half_line(f),
+    lambda f: integrate_interval(f, 0.0, 3.0),
+])
+def test_level_without_significant_nodes_is_refused(integrate):
+    with pytest.raises(QuadratureError) as info:
+        integrate(lambda x: 0.0)
+    assert "only 0 significant nodes" in str(info.value)
+    assert "error estimate 0.000e+00" not in str(info.value)
+
+
+def test_mass_far_from_every_node_is_refused():
+    # all of the mass lies near u = 1e6, where the nodes of every level miss it
+    with pytest.raises(QuadratureError, match="significant nodes"):
+        integrate_half_line(lambda u: math.exp(-(u - 1e6) ** 2))
