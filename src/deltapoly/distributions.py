@@ -373,9 +373,8 @@ def ig_sample(t: float, seed: int, count: int) -> list[float]:
     lam = t * t
     if lam < sys.float_info.min or not math.isfinite(4.0 * mu * lam * _MAX_Y):
         raise ValueError(f"t={t!r} is outside the sampler's range, about 1.5e-154 to 8.4e101")
-    # Random.gauss inlined: each turn makes its Box-Muller pair, cos then sin,
-    # and draws each normal's acceptance uniform right after it, so the
-    # stream is the one of gauss(0.0, 1.0) followed by random()
+    # Random.gauss inlined: one Box-Muller pair per turn, cos then sin, each normal
+    # followed by its acceptance uniform: the stream of gauss(0.0, 1.0), random()
     random_ = random.Random(seed).random
     sqrt, log, cos, sin, tau = math.sqrt, math.log, math.cos, math.sin, math.tau
     mm, two_lam, c, four_ml = mu * mu, 2.0 * lam, mu / (2.0 * lam), 4.0 * mu * lam

@@ -8,11 +8,10 @@ step, and integrable endpoint singularities are harmless.
 
 Each level halves the step h and recomputes the sum; two successive
 levels within rel_tol of each other stop the refinement, and the last
-difference is reported as the error estimate. A level whose sum rests
-on fewer than _MIN_SIGNIFICANT non-tiny terms is never accepted: every
-node can miss the mass of the integrand (it lies far from u = 1, or far
-from the midpoint), and two all-zero levels would otherwise agree on 0.
-Complex-valued integrands work unchanged.
+difference is reported as the error estimate. A level with fewer than
+_MIN_SIGNIFICANT non-tiny terms is never accepted: where every node misses
+the integrand's mass, two all-zero levels would agree on 0. Complex-valued
+integrands work unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ _MAX_LEVELS = 12      # step halvings before refinement gives up
 _MIN_SIGNIFICANT = 8  # non-tiny off-centre terms a level needs to be accepted
 
 
-def _half_line_sum(f: Callable[[float], float], h: float) -> tuple[float, int]:
+def _half_line_sum(f: Callable[[float], float], h: float):
     total = f(1.0) * _HALF_PI  # the w = 0 node, where u = 1
     significant = 0
     for sign in (1.0, -1.0):
@@ -80,8 +79,7 @@ def _half_line_sum(f: Callable[[float], float], h: float) -> tuple[float, int]:
     return total * h, significant
 
 
-def _interval_sum(f: Callable[[float], float], a: float, b: float,
-                  h: float) -> tuple[float, int]:
+def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     total = f(mid) * (_HALF_PI * half)
@@ -125,13 +123,10 @@ def _refine(level_sum: Callable[[float], tuple[float, int]], cfg: QuadratureConf
         if err <= cfg.rel_tol * max(abs(cur), abs(prev)) and significant >= _MIN_SIGNIFICANT:
             return QuadResult(cur, err)
         prev = cur
-    if significant < _MIN_SIGNIFICANT:
-        raise QuadratureError(
-            f"{what} refused: only {significant} significant nodes at the last of "
-            f"{_MAX_LEVELS} levels (needs {_MIN_SIGNIFICANT})", prev, err)
+    detail = (f"error estimate {err:.3e}" if significant >= _MIN_SIGNIFICANT
+              else f"only {significant} significant nodes, needs {_MIN_SIGNIFICANT}")
     raise QuadratureError(
-        f"{what} did not converge within {_MAX_LEVELS} levels "
-        f"(error estimate {err:.3e})", prev, err)
+        f"{what} did not converge within {_MAX_LEVELS} levels ({detail})", prev, err)
 
 
 def integrate_half_line(f: Callable[[float], float],
