@@ -362,8 +362,8 @@ def ig_sample(t: float, seed: int, count: int) -> list[float]:
     "Generating random variates using transformations with multiple
     roots", The American Statistician 30 (1976) 88-90: solve the inverse
     of the chi-square transform y = t(u-t)^2/(t^2 u) and pick the root
-    with the right probability. The larger root has no cancellation; the
-    smaller is t^2 / larger, since the two multiply to mu^2.
+    with the right probability. The larger root is a sum of positive terms;
+    the smaller is mu^2 / larger, as the two multiply to mu^2 (mu = t).
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -379,7 +379,6 @@ def ig_sample(t: float, seed: int, count: int) -> list[float]:
     sqrt, log, cos, sin, tau = math.sqrt, math.log, math.cos, math.sin, math.tau
     mm, two_lam, c, four_ml = mu * mu, 2.0 * lam, mu / (2.0 * lam), 4.0 * mu * lam
     out = []
-    append = out.append
     for _ in range((count + 1) // 2):
         x2pi = random_() * tau
         g2rad = sqrt(-2.0 * log(1.0 - random_()))
@@ -388,12 +387,12 @@ def ig_sample(t: float, seed: int, count: int) -> list[float]:
         mmy = mm * y
         big = mu + mmy / two_lam + c * sqrt(four_ml * y + mmy * y)
         x = mm / big
-        append(x if random_() * (mu + x) <= mu else big)
+        out.append(x if random_() * (mu + x) <= mu else big)
         nu = sin(x2pi) * g2rad
         y = nu * nu
         mmy = mm * y
         big = mu + mmy / two_lam + c * sqrt(four_ml * y + mmy * y)
         x = mm / big
-        append(x if random_() * (mu + x) <= mu else big)
+        out.append(x if random_() * (mu + x) <= mu else big)
     del out[count:]  # an odd count drops the last draw
     return out
