@@ -41,7 +41,7 @@ from .quadrature import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# Above nu**2 for every normal nu that Random.gauss returns: -2 log(2**-53) = 73.47
+# Above nu**2 for every Box-Muller normal nu from random(): -2 log(2**-53) = 73.47
 _MAX_Y = 74.0
 
 
