@@ -75,7 +75,7 @@ def test_interval_step_left_of_midpoint_is_not_silently_zero():
 
 
 @pytest.mark.parametrize("integrate", [
-    lambda f: integrate_half_line(f),
+    integrate_half_line,
     lambda f: integrate_interval(f, 0.0, 3.0),
 ])
 def test_level_without_significant_nodes_is_refused(integrate):
