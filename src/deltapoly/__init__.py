@@ -13,7 +13,6 @@ from .series import (
     fps_recip,
     fps_reverse,
     fps_sqrt,
-    parse_rational,
     poly_diff,
     poly_eval,
     poly_to_strings,
@@ -53,7 +52,7 @@ from .distributions import (
     density,
     ig_sample,
     kolmogorov_check,
-    moment,
+    log_density,
     moment_quadrature,
     semigroup_check,
     worst_abs_dev,
@@ -77,7 +76,7 @@ __all__ = [
     "f_series", "format_rational", "fps_compose", "fps_exp", "fps_recip",
     "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",
     "generate", "ig_sample", "integrate_half_line", "integrate_interval",
-    "kolmogorov_check", "moment", "moment_quadrature", "parse_rational",
+    "kolmogorov_check", "log_density", "moment_quadrature",
     "poly_diff", "poly_eval", "poly_to_strings",
     "random_triples", "run_all", "semigroup_check",
     "w_bessel_relation_check", "worst_abs_dev",

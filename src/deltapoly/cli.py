@@ -42,7 +42,7 @@ from .distributions import (
 from .fuss import fuss_series
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, QuadratureError
 from .sequences import SEQUENCE_IDS, generate
-from .series import format_rational, parse_rational, poly_to_strings
+from .series import format_rational, poly_to_strings
 from .verify import REPORT_TOL, run_all
 
 
@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

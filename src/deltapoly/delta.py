@@ -74,11 +74,6 @@ class DeltaOperator:
         return cls(FormalPowerSeries(coeffs, order))
 
     @classmethod
-    def derivative(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
-        """Q = D itself."""
-        return cls(FormalPowerSeries.identity(order))
-
-    @classmethod
     def forward_difference(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
         """Q = exp(D) - 1, i.e. Qp(t) = p(t+1) - p(t).
 

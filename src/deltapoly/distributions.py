@@ -7,6 +7,9 @@ Densities on (0, inf):
     BesselMeasure(t):    exp(-(u-1)^2 / (2tu)) / sqrt(2 pi t u)
     Dilated(base, c):    the law of c*X for X distributed as base
 
+`log_density` is the one definition of each law; `density` and the
+moment integrand exp(n log u + log density) both exponentiate it.
+
 InverseGaussian(t) has characteristic function exp(t - t sqrt(1 - 2ix))
 and forms a convolution semigroup in t; its n-th moment is w_n(t), the
 degree-n basic polynomial of D - D**2/2. BesselMeasure(t) has n-th
@@ -85,29 +88,28 @@ class Dilated:
 DistSpec = Union[InverseGaussian, GammaHalf, BesselMeasure, Dilated]
 
 
-def density(dist: DistSpec, u: float) -> float:
-    """Density at u; identically 0 for u <= 0.
-
-    Evaluated as exp(log density) so the u -> 0 and u -> inf tails
-    underflow to 0.0 instead of tripping 0 * inf.
-    """
+def log_density(dist: DistSpec, u: float) -> float:
+    """Log of the density at u; -inf for u <= 0. The one definition of each law."""
     if u <= 0.0:
-        return 0.0
+        return -math.inf
     match dist:
         case InverseGaussian(t):
             d = u - t
-            return math.exp(math.log(t) - d * d / (2.0 * u)
-                            - 1.5 * math.log(u) - 0.5 * _LOG_2PI)
+            return math.log(t) - d * d / (2.0 * u) - 1.5 * math.log(u) - 0.5 * _LOG_2PI
         case GammaHalf(t):
-            return math.exp(-u / (2.0 * t)
-                            - 0.5 * (_LOG_2PI + math.log(t) + math.log(u)))
+            return -u / (2.0 * t) - 0.5 * (_LOG_2PI + math.log(t) + math.log(u))
         case BesselMeasure(t):
             d = u - 1.0
-            return math.exp(-d * d / (2.0 * t * u)
-                            - 0.5 * (_LOG_2PI + math.log(t) + math.log(u)))
+            return -d * d / (2.0 * t * u) - 0.5 * (_LOG_2PI + math.log(t) + math.log(u))
         case Dilated(base, c):
-            return density(base, u / c) / c
+            return log_density(base, u / c) - math.log(c)
     raise TypeError(f"not a distribution spec: {dist!r}")
+
+
+def density(dist: DistSpec, u: float) -> float:
+    """Density at u; 0.0 for u <= 0 and wherever the log density is below
+    the float range, so neither tail trips 0 * inf."""
+    return math.exp(log_density(dist, u))
 
 
 def char_fun(dist: DistSpec, x: float) -> complex:
@@ -135,27 +137,21 @@ def moment_quadrature(dist: DistSpec, n: int,
     """n-th moment with its quadrature error estimate.
 
     GammaHalf densities carry a u**(-1/2) factor at the origin, so they
-    get the u = v**2 substitution.
+    get the u = v**2 substitution. Raises OverflowError naming n and the
+    law when a term or a level sum exceeds the float range.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
 
     def integrand(u: float) -> float:
-        d = density(dist, u)
-        # u**n can overflow at the extreme nodes: skip it where the density underflowed
-        try:
-            return 0.0 if d == 0.0 else u**n * d
-        except OverflowError:
-            raise OverflowError(f"moment n={n} of {dist}: u**n exceeds the float range") from None
+        return math.exp(n * math.log(u) + log_density(dist, u)) if u > 0.0 else 0.0
 
-    return integrate_half_line(
-        integrand, cfg,
-        sqrt_substitution=isinstance(_innermost(dist), GammaHalf))
-
-
-def moment(dist: DistSpec, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """n-th moment by double-exponential quadrature."""
-    return moment_quadrature(dist, n, cfg).value
+    try:
+        return integrate_half_line(
+            integrand, cfg,
+            sqrt_substitution=isinstance(_innermost(dist), GammaHalf))
+    except OverflowError:
+        raise OverflowError(f"moment n={n} of {dist} overflows the float range") from None
 
 
 def char_fun_quadrature(dist: DistSpec, x: float,

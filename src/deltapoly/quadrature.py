@@ -10,7 +10,8 @@ Each level halves the step h and recomputes the sum; two successive
 levels within rel_tol of each other stop the refinement, and the last
 difference is reported as the error estimate. A level with fewer than
 _MIN_SIGNIFICANT non-tiny terms is never accepted: where every node misses
-the integrand's mass, two all-zero levels would agree on 0. Complex-valued
+the integrand's mass, two all-zero levels would agree on 0. A level sum
+beyond the float range raises OverflowError at once. Complex-valued
 integrands work unchanged.
 """
 
@@ -113,12 +114,18 @@ def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
 
 def _refine(level_sum: Callable[[float], tuple[float, int]], cfg: QuadratureConfig,
             what: str) -> QuadResult:
+    def finite_sum(h: float) -> tuple[float, int]:
+        total, significant = level_sum(h)
+        if abs(total) == math.inf:  # later levels could only compare inf with inf
+            raise OverflowError(f"{what}: a level sum exceeds the float range")
+        return total, significant
+
     h = 1.0
-    prev, _ = level_sum(h)
+    prev, _ = finite_sum(h)
     err = math.inf
     for _ in range(_MAX_LEVELS):
         h *= 0.5
-        cur, significant = level_sum(h)
+        cur, significant = finite_sum(h)
         err = abs(cur - prev)
         if err <= cfg.rel_tol * max(abs(cur), abs(prev)) and significant >= _MIN_SIGNIFICANT:
             return QuadResult(cur, err)

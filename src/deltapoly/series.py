@@ -19,11 +19,6 @@ DEFAULT_ORDER = 32
 RationalLike = Union[Fraction, int, str]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", or plain "p" for an integer."""
-    return Fraction(text)
-
-
 def format_rational(value: Fraction) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(value))

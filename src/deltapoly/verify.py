@@ -29,7 +29,7 @@ from .distributions import (
     convolution_factorization_check,
     ig_sample,
     kolmogorov_check,
-    moment,
+    moment_quadrature,
     semigroup_check,
     worst_abs_dev,
 )
@@ -173,7 +173,7 @@ def moment_theorems() -> CriterionResult:
             dist = law(float(t))
             for n in range(9):
                 exact = float(poly_eval(polys[n], t))
-                worst = max(worst, abs(moment(dist, n) - exact) / exact)
+                worst = max(worst, abs(moment_quadrature(dist, n).value - exact) / exact)
     return CriterionResult(
         "moments match w_n(t) and y_n(t)", worst < TOL_MOMENT_REL,
         f"max rel dev {worst:.3e} (tol {TOL_MOMENT_REL:g}), n <= 8")

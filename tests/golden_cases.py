@@ -6,7 +6,8 @@ pytest wrapper is `test_golden.py`; without pytest, run
 
     PYTHONPATH=src python tests/golden_cases.py
 
-which exits 1 and names each case whose exit code or stdout changed.
+which exits 1 and names each case whose exit code or stdout changed,
+with a unified diff of a changed stdout.
 `--write` regenerates the files from the current build; use it only for
 an intended output change.
 """
@@ -14,6 +15,7 @@ an intended output change.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import functools
 import io
 import sys
@@ -95,10 +97,16 @@ def main(argv: list[str]) -> int:
             if write:
                 GOLDEN.mkdir(exist_ok=True)
                 path.write_text(out, encoding="utf-8")
-            if code != want_code or out != path.read_text(encoding="utf-8"):
+            want_out = path.read_text(encoding="utf-8")
+            if code != want_code:
+                print(f"{name}: exit {code}, want {want_code}", file=sys.stderr)
+            if out != want_out:
+                print(f"{name}: stdout differs", file=sys.stderr)
+                sys.stderr.writelines(difflib.unified_diff(
+                    want_out.splitlines(keepends=True), out.splitlines(keepends=True),
+                    f"{path.name} (golden)", f"{path.name} (this build)"))
+            if code != want_code or out != want_out:
                 bad.append(name)
-                print(f"{name}: exit {code} (want {want_code}) or stdout differs",
-                      file=sys.stderr)
     print(f"{len(CASES) - len(bad)}/{len(CASES)} golden cases match")
     return 1 if bad else 0
 

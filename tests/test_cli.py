@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import deltapoly
+from deltapoly.bessel import CARLITZ
 from deltapoly.cli import main
+from deltapoly.delta import basic_sequence_closed
+from deltapoly.series import poly_eval
+from deltapoly.verify import TOL_MOMENT_REL
 
 
 def run(capsys, *argv):
@@ -158,13 +162,28 @@ def test_domain_error_exits_two(capsys):
     assert "\n" not in err.strip()
 
 
-@pytest.mark.parametrize("dist,name", [("ig", "InverseGaussian"), ("gamma", "GammaHalf")])
-def test_moment_overflow_names_n_and_the_law(capsys, dist, name):
-    code, out, err = run(capsys, "moments", "--dist", dist, "--t", "1", "--n", "200")
+@pytest.mark.parametrize("dist,t,n,law", [
+    pytest.param("ig", "1", 200, "InverseGaussian(t=1.0)", id="ig-InverseGaussian"),
+    pytest.param("gamma", "1", 200, "GammaHalf(t=1.0)", id="gamma-GammaHalf"),
+    # in the next two a level sum overflows although no single term does
+    pytest.param("bessel", "4", 121, "BesselMeasure(t=4.0)", id="bessel-t4-n121"),
+    pytest.param("ig", "1", 151, "InverseGaussian(t=1.0)", id="ig-t1-n151"),
+    # (2n-1)!! = 299!! is 3.8e306, just below the float maximum
+    pytest.param("gamma", "1", 150, "GammaHalf(t=1.0)", id="gamma-t1-n150"),
+])
+def test_moment_overflow_names_n_and_the_law(capsys, dist, t, n, law):
+    code, out, err = run(capsys, "moments", "--dist", dist, "--t", t, "--n", str(n))
     assert code == 2
     assert out == ""
     assert "\n" not in err.strip()
-    assert "n=200" in err and f"{name}(t=1.0)" in err
+    assert f"n={n}" in err and law in err
+
+
+def test_moment_at_the_top_of_the_range(capsys):
+    code, env, _ = run_json(capsys, "moments", "--dist", "ig", "--t", "1", "--n", "150")
+    assert code == 0
+    w_150 = float(poly_eval(basic_sequence_closed(CARLITZ, 150)[150], 1))
+    assert abs(float(env["result"]["value"]) - w_150) <= TOL_MOMENT_REL * w_150
 
 
 @pytest.mark.parametrize("dist,t", [("ig", "100"), ("gamma", "1e-5")])

@@ -105,7 +105,7 @@ def test_closed_form_w1_and_b_zero():
 
 
 def test_generic_solver_derivative():
-    ws = basic_sequence_generic(DeltaOperator.derivative(6), 6)
+    ws = basic_sequence_generic(DeltaOperator(FormalPowerSeries.identity(6)), 6)
     for n in range(7):
         assert ws[n] == Poly.monomial(n)
 

@@ -26,7 +26,6 @@ from deltapoly.distributions import (
     ig_sample,
     kolmogorov_check,
     make_report,
-    moment,
     moment_quadrature,
     semigroup_check,
     worst_abs_dev,
@@ -84,17 +83,17 @@ def test_dilated_density_is_change_of_variables():
 
 @pytest.mark.parametrize("dist", ALL_KINDS)
 def test_normalization(dist):
-    assert moment(dist, 0) == pytest.approx(1.0, rel=1e-10)
+    assert moment_quadrature(dist, 0).value == pytest.approx(1.0, rel=1e-10)
 
 
 def test_moments_against_polynomials():
     ws = basic_sequence_closed(CARLITZ, 6)
     ys = bessel_poly(6)
     for n in range(7):
-        w_exact = float(poly_eval(ws[n], 1))
-        assert moment(InverseGaussian(1.0), n) == pytest.approx(w_exact, rel=1e-10)
-        y_exact = float(poly_eval(ys[n], 2))
-        assert moment(BesselMeasure(2.0), n) == pytest.approx(y_exact, rel=1e-10)
+        w = moment_quadrature(InverseGaussian(1.0), n).value
+        assert w == pytest.approx(float(poly_eval(ws[n], 1)), rel=1e-10)
+        y = moment_quadrature(BesselMeasure(2.0), n).value
+        assert y == pytest.approx(float(poly_eval(ys[n], 2)), rel=1e-10)
 
 
 def test_gamma_half_moments_closed_form():
@@ -102,19 +101,20 @@ def test_gamma_half_moments_closed_form():
     for t in (0.5, 1.0, 3.0):
         for n in range(5):
             dfact = math.prod(range(2 * n - 1, 0, -2)) if n else 1
-            assert moment(GammaHalf(t), n) == pytest.approx(t**n * dfact, rel=1e-10)
+            m = moment_quadrature(GammaHalf(t), n).value
+            assert m == pytest.approx(t**n * dfact, rel=1e-10)
 
 
 def test_dilated_moments_scale():
     base = InverseGaussian(0.5)
     for n in range(5):
-        assert moment(Dilated(base, 2.0), n) == pytest.approx(
-            2.0**n * moment(base, n), rel=1e-9)
+        assert moment_quadrature(Dilated(base, 2.0), n).value == pytest.approx(
+            2.0**n * moment_quadrature(base, n).value, rel=1e-9)
 
 
 def test_moment_rejects_negative_order():
     with pytest.raises(ValueError):
-        moment(InverseGaussian(1.0), -1)
+        moment_quadrature(InverseGaussian(1.0), -1)
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS)
@@ -383,6 +383,46 @@ def test_moment_survey_is_right_or_raises():
                 assert abs(q.value - want) <= TOL_MOMENT_REL * want, (law, d, n)
                 right += 1
     assert right >= 243
+
+
+def exact_moments(law, t, nmax):
+    """m_0 ... m_nmax of law(t) as Fractions, by m_(n+1) = a(n) m_n + b m_(n-1)."""
+    a, b, m1 = {
+        InverseGaussian: (lambda n: 2 * n - 1, t * t, t),  # w_n(t)
+        GammaHalf: (lambda n: (2 * n + 1) * t, 0, t),  # t^n (2n-1)!!
+        BesselMeasure: (lambda n: (2 * n + 1) * t, 1, 1 + t),  # y_n(t)
+    }[law]
+    m = [Fraction(1), m1]
+    for n in range(1, nmax):
+        m.append(a(n) * m[n] + b * m[n - 1])
+    return m
+
+
+def test_exact_moments_are_the_polynomials():
+    ws, ys = basic_sequence_closed(CARLITZ, 12), bessel_poly(12)
+    for t in (Fraction(1, 2), Fraction(3)):
+        assert exact_moments(InverseGaussian, t, 12) == [poly_eval(w, t) for w in ws]
+        assert exact_moments(BesselMeasure, t, 12) == [poly_eval(y, t) for y in ys]
+
+
+def test_moment_range_is_right_or_refused():
+    # n = 80 ... 200 runs past the float range: each moment is right or raises
+    # an OverflowError naming n, and per (law, t) at most one refused moment,
+    # the last below the float maximum, is in range
+    for law in (InverseGaussian, GammaHalf, BesselMeasure):
+        for t in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)):
+            exact = exact_moments(law, t, 200)
+            refused_in_range = 0
+            for n in range(80, 201):
+                try:
+                    got = moment_quadrature(law(float(t)), n).value
+                except OverflowError as exc:
+                    assert f"moment n={n} of" in str(exc)
+                    refused_in_range += exact[n] < sys.float_info.max
+                    continue
+                want = float(exact[n])
+                assert abs(got - want) <= TOL_MOMENT_REL * want, (law, t, n)
+            assert refused_in_range <= 1, (law, t)
 
 
 def test_moment_quadrature_reports_error_estimate():

@@ -85,6 +85,18 @@ def test_level_without_significant_nodes_is_refused(integrate):
     assert "error estimate 0.000e+00" not in str(info.value)
 
 
+@pytest.mark.parametrize("integrate", [
+    integrate_half_line,
+    lambda f: integrate_interval(f, 0.0, 10.0),
+])
+def test_overflowing_level_sum_raises_at_once(integrate):
+    # every term is finite, their sum is not; refinement would compare inf with inf
+    calls = []
+    with pytest.raises(OverflowError, match="level sum exceeds the float range"):
+        integrate(lambda u: calls.append(u) or 1e308)
+    assert len(calls) <= 13  # the first level, h = 1, has at most 13 nodes
+
+
 def test_mass_far_from_every_node_is_refused():
     # all of the mass lies near u = 1e6, where the nodes of every level miss it
     with pytest.raises(QuadratureError, match="significant nodes"):
