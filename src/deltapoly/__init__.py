@@ -8,12 +8,10 @@ from .series import (
     Poly,
     PolySequence,
     format_rational,
-    fps_compose,
     fps_exp,
     fps_recip,
     fps_reverse,
     fps_sqrt,
-    poly_diff,
     poly_eval,
     poly_to_strings,
 )
@@ -73,11 +71,11 @@ __all__ = [
     "bessel_k_half", "bessel_k_quadrature", "bessel_poly",
     "binomial_identity_check", "char_fun", "char_fun_quadrature",
     "convolution_factorization_check", "crosscheck", "density",
-    "f_series", "format_rational", "fps_compose", "fps_exp", "fps_recip",
+    "f_series", "format_rational", "fps_exp", "fps_recip",
     "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",
     "generate", "ig_sample", "integrate_half_line", "integrate_interval",
     "kolmogorov_check", "log_density", "moment_quadrature",
-    "poly_diff", "poly_eval", "poly_to_strings",
+    "poly_eval", "poly_to_strings",
     "random_triples", "run_all", "semigroup_check",
     "w_bessel_relation_check", "worst_abs_dev",
 ]

@@ -39,15 +39,19 @@ CARLITZ = AbTriple(Fraction(1), Fraction(1, 2), 1)
 
 
 def bessel_poly(nmax: int) -> PolySequence:
-    """Bessel polynomials y_0..y_nmax; y_n has degree n and y_n(0) = 1."""
+    """Bessel polynomials y_0..y_nmax; y_n has degree n and y_n(0) = 1.
+
+    [t^j] y_n = N_j / 2^j with the integer N_j = (n+j)!/(j! (n-j)!), built
+    by the term ratio N_{j+1} = N_j (n+j+1) (n-j) / (j+1), an exact division.
+    """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     polys = []
     for n in range(nmax + 1):
-        coeffs = [
-            Fraction(math.factorial(n + j), math.factorial(j) * math.factorial(n - j) * 2**j)
-            for j in range(n + 1)
-        ]
+        coeffs, nj = [], 1
+        for j in range(n + 1):
+            coeffs.append(Fraction(nj, 1 << j))
+            nj = nj * (n + j + 1) * (n - j) // (j + 1)
         polys.append(Poly(coeffs))
     return PolySequence(tuple(polys))
 

@@ -119,40 +119,44 @@ def basic_sequence_generic(op: DeltaOperator, nmax: int) -> BinomialSequence:
         raise ValueError("nmax must be >= 0")
     if op.g.order < nmax:
         raise ValueError("operator series truncated below nmax")
-    g1 = op.g[1]
-    q_mono = [Poly()] + [apply_delta(op, Poly.monomial(m)) for m in range(1, nmax + 1)]
+    q_mono = [apply_delta(op, Poly.monomial(m)).coeffs for m in range(1, nmax + 1)]
+    # row m: the nonzero (j, [t^j] Q t^m) below the pivot m*g_1, which step m spends
+    rows = [[]] + [[(j, c) for j, c in enumerate(q[:m - 1]) if c] for m, q in enumerate(q_mono, 1)]
+    pivots = [m * op.g[1] for m in range(nmax + 1)]
     polys = [Poly([1])]
     for n in range(1, nmax + 1):
-        prev = polys[n - 1].coeffs
-        residual = [n * prev[j] if j < len(prev) else Fraction(0) for j in range(n)]
+        residual = [n * c for c in polys[n - 1].coeffs]
         coeffs = [Fraction(0)] * (n + 1)
         for m in range(n, 0, -1):
-            um = residual[m - 1] / (m * g1)
+            um = residual[m - 1] / pivots[m]
             coeffs[m] = um
             if um:
-                for j, c in enumerate(q_mono[m].coeffs):
-                    if c:
-                        residual[j] -= um * c
+                for j, c in rows[m]:
+                    residual[j] -= um * c
         polys.append(Poly(coeffs))
     return BinomialSequence(tuple(polys))
 
 
 def basic_sequence_closed(abp: AbTriple, nmax: int) -> BinomialSequence:
     """Closed-form basic polynomials of a*D - b*D**(p+1) (see module
-    docstring); w_1(t) = t/a, and b = 0 collapses to (t/a)^n."""
+    docstring); w_1(t) = t/a, and b = 0 collapses to (t/a)^n. From
+    c_{n,0} = a^{-n}, each coefficient is the one before times the term ratio
+    c_{n,j+1}/c_{n,j} = (n+j) (n-jp-1)!/(n-jp-p-1)! b / ((j+1) a), a ratio
+    of small integers, so no coefficient costs a gcd of two big integers."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    an, ad = abp.a.numerator, abp.a.denominator
-    bn, bd = abp.b.numerator, abp.b.denominator
+    bn_ad = abp.b.numerator * abp.a.denominator
+    bd_an = abp.b.denominator * abp.a.numerator
     p = abp.p
     polys = [Poly([1])]
+    lead = Fraction(1)
     for n in range(1, nmax + 1):
+        lead /= abp.a
         coeffs = [Fraction(0)] * (n + 1)
-        for j in range((n - 1) // p + 1):
-            # one integer quotient per coefficient: a single gcd
-            num = math.factorial(n + j - 1) * bn**j * ad**(n + j)
-            den = math.factorial(j) * math.factorial(n - j * p - 1) * bd**j * an**(n + j)
-            coeffs[n - j * p] = Fraction(num, den)
+        c = coeffs[n] = lead
+        for j in range((n - 1) // p):
+            c *= Fraction((n + j) * math.perm(n - j * p - 1, p) * bn_ad, (j + 1) * bd_an)
+            coeffs[n - (j + 1) * p] = c
         polys.append(Poly(coeffs))
     return BinomialSequence(tuple(polys))
 

@@ -56,7 +56,9 @@ _MIN_SIGNIFICANT = 8  # non-tiny off-centre terms a level needs to be accepted
 
 
 def _half_line_sum(f: Callable[[float], float], h: float):
-    total = f(1.0) * _HALF_PI  # the w = 0 node, where u = 1
+    scale = _HALF_PI * h  # h is a power of two, so folding it in keeps every bit
+    floor = 1e-300 * h
+    total = f(1.0) * scale  # the w = 0 node, where u = 1
     significant = 0
     for sign in (1.0, -1.0):
         tiny_run = 0
@@ -67,9 +69,9 @@ def _half_line_sum(f: Callable[[float], float], h: float):
             if abs(s) > _MAX_EXP_ARG:
                 break
             u = math.exp(s)
-            term = f(u) * (_HALF_PI * math.cosh(w) * u)
+            term = f(u) * (scale * math.cosh(w) * u)
             total += term
-            if abs(term) <= _CUTOFF * (abs(total) + 1e-300):
+            if abs(term) <= _CUTOFF * (abs(total) + floor):
                 tiny_run += 1
                 if tiny_run >= 3:
                     break
@@ -77,13 +79,15 @@ def _half_line_sum(f: Callable[[float], float], h: float):
                 tiny_run = 0
                 significant += 1
             k += 1
-    return total * h, significant
+    return total, significant
 
 
 def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    total = f(mid) * (_HALF_PI * half)
+    scale = half * _HALF_PI * h
+    floor = 1e-300 * h
+    total = f(mid) * scale
     significant = 0
     for sign in (1.0, -1.0):
         tiny_run = 0
@@ -99,9 +103,9 @@ def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
             if x <= a or x >= b:  # gap underflowed against the endpoint
                 break
             c = math.cosh(theta)
-            term = f(x) * (half * _HALF_PI * math.cosh(w) / (c * c))
+            term = f(x) * (scale * math.cosh(w) / (c * c))
             total += term
-            if abs(term) <= _CUTOFF * (abs(total) + 1e-300):
+            if abs(term) <= _CUTOFF * (abs(total) + floor):
                 tiny_run += 1
                 if tiny_run >= 3:
                     break
@@ -109,7 +113,7 @@ def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
                 tiny_run = 0
                 significant += 1
             k += 1
-    return total * h, significant
+    return total, significant
 
 
 def _refine(level_sum: Callable[[float], tuple[float, int]], cfg: QuadratureConfig,

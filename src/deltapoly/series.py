@@ -24,8 +24,13 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _fractions(coeffs: Iterable[RationalLike]) -> list[Fraction]:
+    """As Fractions; a Fraction is kept, skipping the constructor's ABC checks."""
+    return [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+
+
 def _strip(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+    out = _fractions(coeffs)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -122,11 +127,6 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
-def poly_diff(p: Poly) -> Poly:
-    """Formal derivative."""
-    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
-
-
 def poly_eval(p: Poly, x: RationalLike) -> Fraction:
     """Evaluate by Horner's rule; exact."""
     x = Fraction(x)
@@ -171,7 +171,7 @@ class FormalPowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = _fractions(coeffs)
         if order is None:
             if not cs:
                 raise ValueError("need coefficients or an explicit order")
@@ -266,18 +266,6 @@ class FormalPowerSeries:
 
     def __repr__(self) -> str:
         return f"FormalPowerSeries({[str(c) for c in self.coeffs]})"
-
-
-def fps_compose(outer: FormalPowerSeries, inner: FormalPowerSeries) -> FormalPowerSeries:
-    """outer(inner(x)); inner must have zero constant term."""
-    if inner[0] != 0:
-        raise ValueError("composition needs a zero inner constant term")
-    n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    acc = FormalPowerSeries.constant(outer.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * inner + outer.coeffs[k]
-    return acc
 
 
 def fps_recip(f: FormalPowerSeries) -> FormalPowerSeries:

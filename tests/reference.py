@@ -1,0 +1,47 @@
+"""Straightforward exact constructions that the tests hold the library to.
+
+Each one is the textbook formula, written for clarity and not for speed:
+the library builds the same objects by faster routes.
+"""
+
+import math
+from fractions import Fraction
+
+from deltapoly.series import FormalPowerSeries, Poly
+
+
+def poly_diff(p):
+    """Formal derivative."""
+    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def fps_compose(outer, inner):
+    """outer(inner(x)) by Horner's rule; inner must have zero constant term."""
+    if inner[0] != 0:
+        raise ValueError("composition needs a zero inner constant term")
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    acc = FormalPowerSeries.constant(outer.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + outer.coeffs[k]
+    return acc
+
+
+def closed_w(abp, n):
+    """w_n of a*D - b*D^(p+1) from the factorial sum
+    sum_j (n+j-1)! b^j / (j! (n-jp-1)! a^(n+j)) t^(n-jp)."""
+    if n == 0:
+        return Poly([1])
+    a, b, p = abp.a, abp.b, abp.p
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in range((n - 1) // p + 1):
+        coeffs[n - j * p] = (Fraction(math.factorial(n + j - 1),
+                                      math.factorial(j) * math.factorial(n - j * p - 1))
+                             * b**j / a**(n + j))
+    return Poly(coeffs)
+
+
+def bessel_y(n):
+    """y_n(t) = sum_j (n+j)! / (j! (n-j)!) (t/2)^j."""
+    return Poly([Fraction(math.factorial(n + j), math.factorial(j) * math.factorial(n - j) * 2**j)
+                 for j in range(n + 1)])

@@ -20,6 +20,8 @@ from deltapoly.series import (
     poly_eval,
 )
 
+from reference import bessel_y
+
 F = Fraction
 
 
@@ -47,6 +49,12 @@ def test_bessel_poly_leading_and_constant():
         assert y.coeffs[0] == 1
         # leading coefficient (2n)! / (n! 2^n)
         assert y.coeffs[n] == F(math.factorial(2 * n), math.factorial(n) * 2**n)
+
+
+def test_bessel_poly_matches_factorial_formula():
+    ys = bessel_poly(60)
+    for n in range(61):
+        assert ys[n] == bessel_y(n)
 
 
 def test_carlitz_closed_form_matches_explicit_sum():

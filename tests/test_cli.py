@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import deltapoly
-from deltapoly.bessel import CARLITZ
+from deltapoly.bessel import CARLITZ, bessel_poly
 from deltapoly.cli import main
 from deltapoly.delta import basic_sequence_closed
 from deltapoly.series import poly_eval
@@ -165,11 +166,11 @@ def test_domain_error_exits_two(capsys):
 @pytest.mark.parametrize("dist,t,n,law", [
     pytest.param("ig", "1", 200, "InverseGaussian(t=1.0)", id="ig-InverseGaussian"),
     pytest.param("gamma", "1", 200, "GammaHalf(t=1.0)", id="gamma-GammaHalf"),
-    # in the next two a level sum overflows although no single term does
+    # y_121(4) is about 1e309, past the float maximum
     pytest.param("bessel", "4", 121, "BesselMeasure(t=4.0)", id="bessel-t4-n121"),
+    # w_151(1) = 1.02e307 is not, but on the first level (h = 1) one weighted
+    # node, f(u) (pi/2) cosh(w) u at u = 298, is
     pytest.param("ig", "1", 151, "InverseGaussian(t=1.0)", id="ig-t1-n151"),
-    # (2n-1)!! = 299!! is 3.8e306, just below the float maximum
-    pytest.param("gamma", "1", 150, "GammaHalf(t=1.0)", id="gamma-t1-n150"),
 ])
 def test_moment_overflow_names_n_and_the_law(capsys, dist, t, n, law):
     code, out, err = run(capsys, "moments", "--dist", dist, "--t", t, "--n", str(n))
@@ -179,11 +180,17 @@ def test_moment_overflow_names_n_and_the_law(capsys, dist, t, n, law):
     assert f"n={n}" in err and law in err
 
 
-def test_moment_at_the_top_of_the_range(capsys):
-    code, env, _ = run_json(capsys, "moments", "--dist", "ig", "--t", "1", "--n", "150")
+@pytest.mark.parametrize("dist,t,n,exact", [
+    pytest.param("ig", "1", 150, poly_eval(basic_sequence_closed(CARLITZ, 150)[150], 1),
+                 id="ig-t1-n150"),
+    # (2n-1)!! = 299!! is 3.8e306, just below the float maximum
+    pytest.param("gamma", "1", 150, math.prod(range(1, 300, 2)), id="gamma-t1-n150"),
+    pytest.param("bessel", "4", 120, poly_eval(bessel_poly(120)[120], 4), id="bessel-t4-n120"),
+])
+def test_moment_at_the_top_of_the_range(capsys, dist, t, n, exact):
+    code, env, _ = run_json(capsys, "moments", "--dist", dist, "--t", t, "--n", str(n))
     assert code == 0
-    w_150 = float(poly_eval(basic_sequence_closed(CARLITZ, 150)[150], 1))
-    assert abs(float(env["result"]["value"]) - w_150) <= TOL_MOMENT_REL * w_150
+    assert abs(float(env["result"]["value"]) - float(exact)) <= TOL_MOMENT_REL * float(exact)
 
 
 @pytest.mark.parametrize("dist,t", [("ig", "100"), ("gamma", "1e-5")])

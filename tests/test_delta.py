@@ -18,12 +18,11 @@ from deltapoly.delta import (
 from deltapoly.series import (
     FormalPowerSeries,
     Poly,
-    fps_compose,
     fps_exp,
-    poly_diff,
     poly_eval,
 )
 from deltapoly.verify import random_triples
+from reference import closed_w, fps_compose, poly_diff
 
 F = Fraction
 
@@ -94,6 +93,20 @@ def test_closed_form_small_cases():
     assert [poly_eval(w, 1) for w in ws] == [1, 1, 2, 7, 37]
 
 
+def test_closed_form_matches_factorial_formula():
+    triples = random_triples(6, seed=1900) + [
+        AbTriple(F(2, 3), F(-3, 5), 4),
+        AbTriple(F(-7, 2), 0, 1),                # b = 0
+        AbTriple(F(-6, 35), F(14, 15), 1),       # a and b share factors
+        AbTriple(F(-6, 35), F(14, 15), 2),
+        AbTriple(F(10, 21), F(-15, 14), 3),
+    ]
+    for abp in triples:
+        ws = basic_sequence_closed(abp, 60)
+        for n in range(61):
+            assert ws[n] == closed_w(abp, n), (abp, n)
+
+
 def test_closed_form_w1_and_b_zero():
     for abp in random_triples(8, seed=101):
         ws = basic_sequence_closed(abp, 3)
@@ -124,6 +137,16 @@ def test_generic_forward_difference_falling_factorials():
         assert ws[n] == expected
     # and the defining relation, through apply_delta itself
     for n in range(1, 9):
+        assert apply_delta(op, ws[n]) == n * ws[n - 1]
+
+
+def test_generic_solve_on_dense_g():
+    rng = random.Random(1901)
+    g = [0, F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))]
+    g += [F(rng.randint(-5, 5) or 1, rng.randint(1, 6)) for _ in range(19)]
+    op = DeltaOperator(FormalPowerSeries(g, 20))
+    ws = basic_sequence_generic(op, 20)   # BinomialSequence checks w_n(0) = 0
+    for n in range(1, 21):
         assert apply_delta(op, ws[n]) == n * ws[n - 1]
 
 

@@ -1,16 +1,23 @@
-"""Property tests of the exact series kernels; skipped without hypothesis."""
+"""Property tests of the exact kernels; skipped without hypothesis."""
 
 import pytest
 
-from deltapoly.delta import AbTriple, DeltaOperator, f_series
+from deltapoly.delta import (
+    AbTriple,
+    DeltaOperator,
+    apply_delta,
+    basic_sequence_closed,
+    basic_sequence_generic,
+    f_series,
+)
 from deltapoly.series import (
     FormalPowerSeries,
-    fps_compose,
     fps_exp,
     fps_recip,
     fps_reverse,
     fps_sqrt,
 )
+from reference import fps_compose
 
 hypothesis = pytest.importorskip("hypothesis")
 given, st = hypothesis.given, hypothesis.strategies
@@ -68,3 +75,22 @@ def test_reverse_of_ab_series_is_the_fuss_series(a, b, p, order):
     abp = AbTriple(a, b, p)
     g = DeltaOperator.from_ab(abp, order).g.truncate(order)
     assert fps_reverse(g) == f_series(abp, order)
+
+
+triples = st.builds(AbTriple, nonzero, rationals, st.integers(1, 4))
+
+
+@PROPERTY
+@given(triples, st.integers(1, 12))
+def test_q_lowers_w_n_to_n_w_n_minus_1(abp, nmax):
+    ws = basic_sequence_closed(abp, nmax)
+    op = DeltaOperator.from_ab(abp, nmax)
+    for n in range(1, nmax + 1):
+        assert apply_delta(op, ws[n]) == n * ws[n - 1]
+
+
+@PROPERTY
+@given(triples, st.integers(0, 12))
+def test_closed_equals_generic(abp, nmax):
+    op = DeltaOperator.from_ab(abp, nmax)
+    assert basic_sequence_generic(op, nmax).polys == basic_sequence_closed(abp, nmax).polys
