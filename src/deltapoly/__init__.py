@@ -45,7 +45,6 @@ from .distributions import (
     bessel_k_half,
     bessel_k_quadrature,
     char_fun,
-    char_fun_quadrature,
     convolution_factorization_check,
     density,
     ig_sample,
@@ -69,7 +68,7 @@ __all__ = [
     "SEQUENCE_IDS", "SPECS", "SequenceSpec", "apply_delta",
     "basic_sequence_closed", "basic_sequence_generic", "bessel_egf_check",
     "bessel_k_half", "bessel_k_quadrature", "bessel_poly",
-    "binomial_identity_check", "char_fun", "char_fun_quadrature",
+    "binomial_identity_check", "char_fun",
     "convolution_factorization_check", "crosscheck", "density",
     "f_series", "format_rational", "fps_exp", "fps_recip",
     "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",

@@ -29,9 +29,7 @@ from .delta import (
     f_series,
 )
 from .distributions import (
-    BesselMeasure,
-    GammaHalf,
-    InverseGaussian,
+    LAWS,
     Report,
     convolution_factorization_check,
     kolmogorov_check,
@@ -115,9 +113,6 @@ def _config(args) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=args.quad_tol)
 
 
-_DISTS = {"ig": InverseGaussian, "gamma": GammaHalf, "bessel": BesselMeasure}
-
-
 # Each handler maps parsed options to (result, diagnostics, exit code).
 
 def _basic_poly(args):
@@ -150,7 +145,7 @@ def _egf_check(args):
 
 
 def _moments(args):
-    q = moment_quadrature(_DISTS[args.dist](args.t), args.n, _config(args))
+    q = moment_quadrature(LAWS[args.dist](args.t), args.n, _config(args))
     return {"value": _fmt_real(q.value)}, {"quad_error": _fmt_real(q.error)}, 0
 
 
@@ -218,7 +213,7 @@ _COMMANDS = (
     ("egf-check", "Bessel EGF identity at a rational point, exact", _egf_check,
      (("--t", _required(_rational)), ("--order", {"type": int, "default": 12}))),
     ("moments", "n-th moment of a distribution by quadrature", _moments,
-     (("--dist", {"choices": sorted(_DISTS), "required": True}), ("--t", _required(_real)),
+     (("--dist", {"choices": sorted(LAWS), "required": True}), ("--t", _required(_real)),
       ("--n", _required(int)), _QUAD_TOL)),
     ("semigroup-check", "inverse-Gaussian convolution semigroup at given points",
      _check(lambda a, cfg: semigroup_check(a.s, a.t, a.points, cfg),

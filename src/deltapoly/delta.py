@@ -73,16 +73,6 @@ class DeltaOperator:
         coeffs[abp.p + 1] = -abp.b
         return cls(FormalPowerSeries(coeffs, order))
 
-    @classmethod
-    def forward_difference(cls, order: int = DEFAULT_ORDER) -> "DeltaOperator":
-        """Q = exp(D) - 1, i.e. Qp(t) = p(t+1) - p(t).
-
-        The series is truncated at `order`; D^{n+1} annihilates degree-n
-        polynomials, so the truncation is exact up to that degree.
-        """
-        coeffs = [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, order + 1)]
-        return cls(FormalPowerSeries(coeffs, order))
-
 
 def apply_delta(op: DeltaOperator, p: Poly) -> Poly:
     """sum_k g_k D^k p by [t^j] Q p = sum_{k>=1} g_k (j+k)!/j! p_{j+k};

@@ -7,8 +7,10 @@ Densities on (0, inf):
     BesselMeasure(t):    exp(-(u-1)^2 / (2tu)) / sqrt(2 pi t u)
     Dilated(base, c):    the law of c*X for X distributed as base
 
-`log_density` is the one definition of each law; `density` and the
-moment integrand exp(n log u + log density) both exponentiate it.
+Each law's `log_density` method is its one definition; `density` and the
+moment integrand exp(n log u + log density) both exponentiate it. Its
+`half_line` method integrates over (0, inf) on the law's map, u = v**2 for
+GammaHalf. `LAWS` maps the CLI's law names to the classes.
 
 InverseGaussian(t) has characteristic function exp(t - t sqrt(1 - 2ix))
 and forms a convolution semigroup in t; its n-th moment is w_n(t), the
@@ -33,7 +35,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence
 
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -48,8 +50,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_Y = 74.0
 
 
+class DistSpec:
+    """A law on (0, inf) with `log_density(u)` for u > 0 and `char_fun(x)`."""
+
+    def half_line(self, f: Callable[[float], float], cfg: QuadratureConfig) -> QuadResult:
+        """Integral of f over (0, inf) on this law's map."""
+        return integrate_half_line(f, cfg)
+
+
 @dataclass(frozen=True)
-class InverseGaussian:
+class _Law(DistSpec):
     t: float
 
     def __post_init__(self):
@@ -57,53 +67,64 @@ class InverseGaussian:
             raise ValueError("t must be positive")
 
 
+class InverseGaussian(_Law):
+    def log_density(self, u: float) -> float:
+        d = u - self.t
+        return math.log(self.t) - d * d / (2.0 * u) - 1.5 * math.log(u) - 0.5 * _LOG_2PI
+
+    def char_fun(self, x: float) -> complex:
+        return cmath.exp(self.t - self.t * cmath.sqrt(1.0 - 2.0j * x))
+
+
+class GammaHalf(_Law):
+    def log_density(self, u: float) -> float:
+        return -u / (2.0 * self.t) - 0.5 * (_LOG_2PI + math.log(self.t) + math.log(u))
+
+    def char_fun(self, x: float) -> complex:
+        return 1.0 / cmath.sqrt(1.0 - 2.0j * self.t * x)
+
+    def half_line(self, f: Callable[[float], float], cfg: QuadratureConfig) -> QuadResult:
+        # u = v**2 absorbs the u**(-1/2) factor the exp-sinh map damps only slowly
+        return integrate_half_line(lambda v: 2.0 * v * f(v * v), cfg)
+
+
+class BesselMeasure(_Law):
+    def log_density(self, u: float) -> float:
+        d = u - 1.0
+        return -d * d / (2.0 * self.t * u) - 0.5 * (_LOG_2PI + math.log(self.t) + math.log(u))
+
+    def char_fun(self, x: float) -> complex:
+        t = self.t
+        return GammaHalf(t).char_fun(x) * Dilated(InverseGaussian(1.0 / t), t).char_fun(x)
+
+
 @dataclass(frozen=True)
-class GammaHalf:
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-
-
-@dataclass(frozen=True)
-class BesselMeasure:
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-
-
-@dataclass(frozen=True)
-class Dilated:
-    base: "DistSpec"
+class Dilated(DistSpec):
+    base: DistSpec
     factor: float
 
     def __post_init__(self):
         if not self.factor > 0:
             raise ValueError("factor must be positive")
 
+    def log_density(self, u: float) -> float:
+        # through the module function, whose guard catches u / factor underflowing to 0
+        return log_density(self.base, u / self.factor) - math.log(self.factor)
 
-DistSpec = Union[InverseGaussian, GammaHalf, BesselMeasure, Dilated]
+    def char_fun(self, x: float) -> complex:
+        return self.base.char_fun(self.factor * x)
+
+    def half_line(self, f: Callable[[float], float], cfg: QuadratureConfig) -> QuadResult:
+        return self.base.half_line(f, cfg)
+
+
+#: Each law by its name in the CLI and in `sequences.SPECS`.
+LAWS = {"ig": InverseGaussian, "gamma": GammaHalf, "bessel": BesselMeasure}
 
 
 def log_density(dist: DistSpec, u: float) -> float:
-    """Log of the density at u; -inf for u <= 0. The one definition of each law."""
-    if u <= 0.0:
-        return -math.inf
-    match dist:
-        case InverseGaussian(t):
-            d = u - t
-            return math.log(t) - d * d / (2.0 * u) - 1.5 * math.log(u) - 0.5 * _LOG_2PI
-        case GammaHalf(t):
-            return -u / (2.0 * t) - 0.5 * (_LOG_2PI + math.log(t) + math.log(u))
-        case BesselMeasure(t):
-            d = u - 1.0
-            return -d * d / (2.0 * t * u) - 0.5 * (_LOG_2PI + math.log(t) + math.log(u))
-        case Dilated(base, c):
-            return log_density(base, u / c) - math.log(c)
-    raise TypeError(f"not a distribution spec: {dist!r}")
+    """Log of the density at u by the law's method; -inf for u <= 0."""
+    return -math.inf if u <= 0.0 else dist.log_density(u)
 
 
 def density(dist: DistSpec, u: float) -> float:
@@ -114,61 +135,27 @@ def density(dist: DistSpec, u: float) -> float:
 
 def char_fun(dist: DistSpec, x: float) -> complex:
     """E[exp(ixU)] in closed form; principal square root throughout."""
-    match dist:
-        case InverseGaussian(t):
-            return cmath.exp(t - t * cmath.sqrt(1.0 - 2.0j * x))
-        case GammaHalf(t):
-            return 1.0 / cmath.sqrt(1.0 - 2.0j * t * x)
-        case BesselMeasure(t):
-            return char_fun(GammaHalf(t), x) * char_fun(Dilated(InverseGaussian(1.0 / t), t), x)
-        case Dilated(base, c):
-            return char_fun(base, c * x)
-    raise TypeError(f"not a distribution spec: {dist!r}")
-
-
-def _innermost(dist: DistSpec) -> DistSpec:
-    while isinstance(dist, Dilated):
-        dist = dist.base
-    return dist
+    return dist.char_fun(x)
 
 
 def moment_quadrature(dist: DistSpec, n: int,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadResult:
-    """n-th moment with its quadrature error estimate.
+    """n-th moment with its quadrature error estimate, on the law's map.
 
-    GammaHalf densities carry a u**(-1/2) factor at the origin, so they
-    get the u = v**2 substitution. Raises OverflowError naming n and the
-    law when a term or a level sum exceeds the float range.
+    Raises OverflowError naming n and the law when a term or a level sum
+    exceeds the float range.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    log_density_at = dist.log_density
 
     def integrand(u: float) -> float:
-        return math.exp(n * math.log(u) + log_density(dist, u)) if u > 0.0 else 0.0
+        return math.exp(n * math.log(u) + log_density_at(u)) if u > 0.0 else 0.0
 
     try:
-        return integrate_half_line(
-            integrand, cfg,
-            sqrt_substitution=isinstance(_innermost(dist), GammaHalf))
+        return dist.half_line(integrand, cfg)
     except OverflowError:
         raise OverflowError(f"moment n={n} of {dist} overflows the float range") from None
-
-
-def char_fun_quadrature(dist: DistSpec, x: float,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadResult:
-    """E[exp(ixU)] by direct integration, as an oracle for char_fun.
-
-    Reliable for moderate |x|, where the density decay dominates the
-    oscillation.
-    """
-
-    def integrand(u: float) -> complex:
-        d = density(dist, u)
-        return 0.0 if d == 0.0 else cmath.exp(1j * x * u) * d
-
-    return integrate_half_line(
-        integrand, cfg,
-        sqrt_substitution=isinstance(_innermost(dist), GammaHalf))
 
 
 @dataclass(frozen=True)

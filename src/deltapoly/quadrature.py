@@ -141,19 +141,13 @@ def _refine(level_sum: Callable[[float], tuple[float, int]], cfg: QuadratureConf
 
 
 def integrate_half_line(f: Callable[[float], float],
-                        cfg: QuadratureConfig = DEFAULT_CONFIG,
-                        *, sqrt_substitution: bool = False) -> QuadResult:
+                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadResult:
     """Integral of f over (0, inf).
 
-    sqrt_substitution=True applies u = v**2 first and integrates
-    2 v f(v**2); use it when f carries a u**(-1/2) endpoint factor, which
-    the bare exp-sinh map only damps slowly.
+    The exp-sinh map damps a u**(-1/2) endpoint factor only slowly;
+    integrate 2 v f(v**2) instead, as `GammaHalf.half_line` does.
     """
-    if sqrt_substitution:
-        g = lambda v: 2.0 * v * f(v * v)
-    else:
-        g = f
-    return _refine(lambda h: _half_line_sum(g, h), cfg, "half-line integral")
+    return _refine(lambda h: _half_line_sum(f, h), cfg, "half-line integral")
 
 
 def integrate_interval(f: Callable[[float], float], a: float, b: float,

@@ -14,9 +14,8 @@ from fractions import Fraction
 from .bessel import CARLITZ, bessel_poly
 from .delta import DeltaOperator, basic_sequence_closed, basic_sequence_generic
 from .distributions import (
-    BesselMeasure,
+    LAWS,
     Dilated,
-    InverseGaussian,
     Report,
     make_report,
     moment_quadrature,
@@ -24,16 +23,14 @@ from .distributions import (
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .series import poly_eval
 
-#: The law whose n-th moment is w_n(t), respectively y_n(t).
-_LAWS = {"w": InverseGaussian, "y": BesselMeasure}
-
 
 @dataclass(frozen=True)
 class SequenceSpec:
     """Term n is scale * dilation^n * F_{n+shift}(point), with F = w (the
     basic polynomials of D - D**2/2) or y (the Bessel polynomials). It is
-    also scale times the (n+shift)-th moment of the law of family F at t =
-    point, dilated by `dilation`."""
+    also scale times the (n+shift)-th moment of the law LAWS[family] at t =
+    point, dilated by `dilation`; family "ig" has the moments w, "bessel"
+    the moments y."""
 
     oeis_id: str
     description: str
@@ -46,17 +43,17 @@ class SequenceSpec:
 
 SPECS: tuple[SequenceSpec, ...] = (
     SequenceSpec("A144301", "w_n(1): moments of the inverse-Gaussian law at t=1",
-                 "w", Fraction(1)),
+                 "ig", Fraction(1)),
     SequenceSpec("A107104", "w_n(2): moments of the inverse-Gaussian law at t=2",
-                 "w", Fraction(2)),
+                 "ig", Fraction(2)),
     SequenceSpec("A043301", "w_{n+1}(2)/2: moments of the size-biased inverse-Gaussian law at t=2",
-                 "w", Fraction(2), shift=1, scale=Fraction(1, 2)),
+                 "ig", Fraction(2), shift=1, scale=Fraction(1, 2)),
     SequenceSpec("A080893", "2^n w_n(1/2): moments of the doubled inverse-Gaussian law at t=1/2",
-                 "w", Fraction(1, 2), dilation=2),
-    SequenceSpec("A001515", "y_n(1): moments of the Bessel measure at t=1", "y", Fraction(1)),
-    SequenceSpec("A001517", "y_n(2): moments of the Bessel measure at t=2", "y", Fraction(2)),
-    SequenceSpec("A001518", "y_n(3): moments of the Bessel measure at t=3", "y", Fraction(3)),
-    SequenceSpec("A065919", "y_n(4): moments of the Bessel measure at t=4", "y", Fraction(4)),
+                 "ig", Fraction(1, 2), dilation=2),
+    SequenceSpec("A001515", "y_n(1): moments of the Bessel measure at t=1", "bessel", Fraction(1)),
+    SequenceSpec("A001517", "y_n(2): moments of the Bessel measure at t=2", "bessel", Fraction(2)),
+    SequenceSpec("A001518", "y_n(3): moments of the Bessel measure at t=3", "bessel", Fraction(3)),
+    SequenceSpec("A065919", "y_n(4): moments of the Bessel measure at t=4", "bessel", Fraction(4)),
 )
 
 SEQUENCE_IDS: tuple[str, ...] = tuple(s.oeis_id for s in SPECS)
@@ -64,15 +61,15 @@ _BY_ID = {s.oeis_id: s for s in SPECS}
 
 
 def _family_values(family: str, t0: Fraction, nmax: int, method: str) -> list[Fraction]:
-    """F_0(t0)..F_nmax(t0) for F = w or y."""
-    if family == "y" and method == "closed":
+    """F_0(t0)..F_nmax(t0) for F = w (family "ig") or y (family "bessel")."""
+    if family == "bessel" and method == "closed":
         return [poly_eval(y, t0) for y in bessel_poly(nmax)]
-    wmax = nmax + (family == "y")
+    wmax = nmax + (family == "bessel")
     if method == "closed":
         ws = basic_sequence_closed(CARLITZ, wmax)
     else:
         ws = basic_sequence_generic(DeltaOperator.from_ab(CARLITZ, order=max(wmax, 1)), wmax)
-    if family == "w":
+    if family == "ig":
         return [poly_eval(w, t0) for w in ws]
     # y_n(t) = t^{n+1} w_{n+1}(1/t), with w from the generic solver
     return [t0 ** (n + 1) * poly_eval(ws[n + 1], 1 / t0) for n in range(nmax + 1)]
@@ -103,7 +100,7 @@ def crosscheck(seq_id: str, count: int,
     """Exact terms against quadrature moments of the matching law."""
     terms = generate(seq_id, count)
     spec = _BY_ID[seq_id]
-    law = _LAWS[spec.family](float(spec.point))
+    law = LAWS[spec.family](float(spec.point))
     if spec.dilation != 1:
         law = Dilated(law, float(spec.dilation))
     scale = float(spec.scale)

@@ -4,9 +4,13 @@ Each one is the textbook formula, written for clarity and not for speed:
 the library builds the same objects by faster routes.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
+from deltapoly.delta import DeltaOperator
+from deltapoly.distributions import density
+from deltapoly.quadrature import DEFAULT_CONFIG
 from deltapoly.series import FormalPowerSeries, Poly
 
 
@@ -45,3 +49,23 @@ def bessel_y(n):
     """y_n(t) = sum_j (n+j)! / (j! (n-j)!) (t/2)^j."""
     return Poly([Fraction(math.factorial(n + j), math.factorial(j) * math.factorial(n - j) * 2**j)
                  for j in range(n + 1)])
+
+
+def forward_difference(order):
+    """Q = exp(D) - 1, i.e. Qp(t) = p(t+1) - p(t), with g truncated at
+    `order`; D^(n+1) annihilates degree-n polynomials, so the truncation is
+    exact up to that degree."""
+    coeffs = [Fraction(0)] + [Fraction(1, math.factorial(k)) for k in range(1, order + 1)]
+    return DeltaOperator(FormalPowerSeries(coeffs, order))
+
+
+def char_fun_quadrature(dist, x):
+    """E[exp(ixU)] by direct integration on the law's own map, as an oracle
+    for char_fun. Reliable for moderate |x|, where the density decay
+    dominates the oscillation."""
+
+    def integrand(u):
+        d = density(dist, u)
+        return 0.0 if d == 0.0 else cmath.exp(1j * x * u) * d
+
+    return dist.half_line(integrand, DEFAULT_CONFIG)

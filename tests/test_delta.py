@@ -22,7 +22,7 @@ from deltapoly.series import (
     poly_eval,
 )
 from deltapoly.verify import random_triples
-from reference import closed_w, fps_compose, poly_diff
+from reference import closed_w, forward_difference, fps_compose, poly_diff
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_apply_delta_matches_defining_sum():
     dense = DeltaOperator(FormalPowerSeries(
         [0] + [F(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(12)], 12))
     ops = [DeltaOperator.from_ab(abp, 12) for abp in random_triples(6, seed=505)]
-    ops += [DeltaOperator.forward_difference(12), dense,
+    ops += [forward_difference(12), dense,
             DeltaOperator.from_ab(CARLITZ, 3)]   # order 3 < deg p for most p
     for op in ops:
         for p in polys:
@@ -129,7 +129,7 @@ def test_generic_matches_closed_small():
 
 
 def test_generic_forward_difference_falling_factorials():
-    op = DeltaOperator.forward_difference(8)
+    op = forward_difference(8)
     ws = basic_sequence_generic(op, 8)
     expected = Poly([1])
     for n in range(1, 9):

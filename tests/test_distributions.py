@@ -1,3 +1,4 @@
+import ast
 import cmath
 import hashlib
 import math
@@ -7,20 +8,22 @@ import struct
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import deltapoly.distributions
 from deltapoly.bessel import CARLITZ, bessel_poly
 from deltapoly.delta import basic_sequence_closed
 from deltapoly.distributions import (
     BesselMeasure,
     Dilated,
+    DistSpec,
     GammaHalf,
     InverseGaussian,
     bessel_k_half,
     bessel_k_quadrature,
     char_fun,
-    char_fun_quadrature,
     convolution_factorization_check,
     density,
     ig_sample,
@@ -33,6 +36,7 @@ from deltapoly.distributions import (
 from deltapoly.quadrature import QuadratureError
 from deltapoly.series import poly_eval
 from deltapoly.verify import TOL_MOMENT_REL
+from reference import char_fun_quadrature
 
 ALL_KINDS = [
     InverseGaussian(1.0),
@@ -110,6 +114,11 @@ def test_dilated_moments_scale():
     for n in range(5):
         assert moment_quadrature(Dilated(base, 2.0), n).value == pytest.approx(
             2.0**n * moment_quadrature(base, n).value, rel=1e-9)
+    # a dilated GammaHalf keeps its base's u = v^2 map: E (2U)^n = 2^n 1.5^n (2n-1)!!
+    for n in range(9):
+        dfact = math.prod(range(2 * n - 1, 0, -2))
+        assert moment_quadrature(Dilated(GammaHalf(1.5), 2.0), n).value == pytest.approx(
+            2.0**n * 1.5**n * dfact, rel=1e-9)
 
 
 def test_moment_rejects_negative_order():
@@ -429,3 +438,22 @@ def test_moment_quadrature_reports_error_estimate():
     q = moment_quadrature(InverseGaussian(1.0), 2)
     assert q.error < 1e-8
     assert q.value == pytest.approx(2.0, rel=1e-10)
+
+
+def test_src_has_no_match_and_no_isinstance_on_a_law():
+    # each law owns its behaviour, so nothing in src/ dispatches on a law's type
+    module = deltapoly.distributions
+    laws = {name for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, DistSpec)}
+    found = []
+    for path in sorted(Path(module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Match):
+                found.append(f"{path.name}:{node.lineno} match")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2):
+                named = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.args[1])}
+                if named & laws:
+                    found.append(f"{path.name}:{node.lineno} isinstance")
+    assert found == []
