@@ -3,7 +3,6 @@ Fuss-Catalan generating functions, Bessel polynomials, and the
 inverse-Gaussian distribution family whose moments they are."""
 
 from .series import (
-    DEFAULT_ORDER,
     FormalPowerSeries,
     Poly,
     PolySequence,
@@ -44,7 +43,6 @@ from .distributions import (
     Report,
     bessel_k_half,
     bessel_k_quadrature,
-    char_fun,
     convolution_factorization_check,
     density,
     ig_sample,
@@ -61,14 +59,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbTriple", "BesselMeasure", "BinomialSequence", "CARLITZ", "CRITERIA",
-    "CriterionResult", "DEFAULT_CONFIG", "DEFAULT_ORDER", "DeltaOperator",
+    "CriterionResult", "DEFAULT_CONFIG", "DeltaOperator",
     "Dilated", "DistSpec", "FormalPowerSeries", "FussSeries", "GammaHalf",
     "InverseGaussian", "Poly", "PolySequence", "QuadResult",
     "QuadratureConfig", "QuadratureError", "REPORT_TOL", "Report",
     "SEQUENCE_IDS", "SPECS", "SequenceSpec", "apply_delta",
     "basic_sequence_closed", "basic_sequence_generic", "bessel_egf_check",
     "bessel_k_half", "bessel_k_quadrature", "bessel_poly",
-    "binomial_identity_check", "char_fun",
+    "binomial_identity_check",
     "convolution_factorization_check", "crosscheck", "density",
     "f_series", "format_rational", "fps_exp", "fps_recip",
     "fps_reverse", "fps_sqrt", "fuss_number", "fuss_series",

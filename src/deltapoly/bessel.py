@@ -72,7 +72,7 @@ def w_bessel_relation_check(nmax: int) -> bool:
     return True
 
 
-def bessel_egf_check(t0: RationalLike, order: int = 12) -> bool:
+def bessel_egf_check(t0: RationalLike, order: int) -> bool:
     """sum_{n<=order} y_n(t0) x^n / n! == exp((1-sqrt(1-2 t0 x))/t0) / sqrt(1-2 t0 x),
     both sides expanded exactly to the given order."""
     t0 = Fraction(t0)

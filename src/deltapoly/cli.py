@@ -68,6 +68,13 @@ def _real(text: str) -> float:
     return value
 
 
+def _quad_config(text: str) -> QuadratureConfig:
+    try:
+        return QuadratureConfig(rel_tol=_real(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from exc
+
+
 def _real_list(text: str) -> list[float]:
     values = [_real(v) for v in text.split(",") if v.strip()]
     if not values:
@@ -107,12 +114,6 @@ def _report_dict(r: Report) -> dict:
     }
 
 
-def _config(args) -> QuadratureConfig:
-    if args.quad_tol is None:
-        return DEFAULT_CONFIG
-    return QuadratureConfig(rel_tol=args.quad_tol)
-
-
 # Each handler maps parsed options to (result, diagnostics, exit code).
 
 def _basic_poly(args):
@@ -145,7 +146,7 @@ def _egf_check(args):
 
 
 def _moments(args):
-    q = moment_quadrature(LAWS[args.dist](args.t), args.n, _config(args))
+    q = moment_quadrature(LAWS[args.dist](args.t), args.n, args.quad_tol)
     return {"value": _fmt_real(q.value)}, {"quad_error": _fmt_real(q.error)}, 0
 
 
@@ -160,7 +161,7 @@ def _check(reports_for, keys: dict[str, str], tol_kind: str):
     one report kind. --tol bounds `tol_kind`, REPORT_TOL the others."""
 
     def handler(args):
-        reports = reports_for(args, _config(args))
+        reports = reports_for(args, args.quad_tol)
         worst = worst_abs_dev(reports)
         tol = {**REPORT_TOL, tol_kind: args.tol}
         passed = all(worst[kind] < tol[kind] for kind in keys.values())
@@ -197,7 +198,7 @@ def _tol(kind: str) -> tuple:
 _A_B_P = (("--a", _required(_rational)), ("--b", _required(_rational)),
           ("--p", _required(int)))
 _METHOD = ("--method", {"choices": ("closed", "generic"), "default": "closed"})
-_QUAD_TOL = ("--quad-tol", {"type": _real, "default": None})
+_QUAD_TOL = ("--quad-tol", {"type": _quad_config, "default": DEFAULT_CONFIG})
 
 # (name, help, handler, options); every option but --quad-tol is echoed
 # under "parameters" in declaration order.

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fuss import fuss_number
-from .series import (
-    DEFAULT_ORDER,
-    FormalPowerSeries,
-    Poly,
-    PolySequence,
-)
+from .series import FormalPowerSeries, Poly, PolySequence
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,7 @@ class DeltaOperator:
             raise ValueError("delta operator needs g'(0) != 0")
 
     @classmethod
-    def from_ab(cls, abp: AbTriple, order: int = DEFAULT_ORDER) -> "DeltaOperator":
+    def from_ab(cls, abp: AbTriple, order: int) -> "DeltaOperator":
         order = max(order, abp.p + 1)
         coeffs = [Fraction(0)] * (order + 1)
         coeffs[1] = abp.a
@@ -151,7 +146,7 @@ def basic_sequence_closed(abp: AbTriple, nmax: int) -> BinomialSequence:
     return BinomialSequence(tuple(polys))
 
 
-def f_series(abp: AbTriple, order: int = DEFAULT_ORDER) -> FormalPowerSeries:
+def f_series(abp: AbTriple, order: int) -> FormalPowerSeries:
     """The compositional inverse of a x - b x^{p+1} through Fuss numbers,
     independent of fps_reverse: only powers x^{jp+1} appear."""
     if order < 1:

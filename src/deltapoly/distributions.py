@@ -51,7 +51,8 @@ _MAX_Y = 74.0
 
 
 class DistSpec:
-    """A law on (0, inf) with `log_density(u)` for u > 0 and `char_fun(x)`."""
+    """A law on (0, inf) with `log_density(u)` for u > 0 and `char_fun(x)`,
+    E[exp(ixU)] in closed form on the principal square root."""
 
     def half_line(self, f: Callable[[float], float], cfg: QuadratureConfig) -> QuadResult:
         """Integral of f over (0, inf) on this law's map."""
@@ -131,11 +132,6 @@ def density(dist: DistSpec, u: float) -> float:
     """Density at u; 0.0 for u <= 0 and wherever the log density is below
     the float range, so neither tail trips 0 * inf."""
     return math.exp(log_density(dist, u))
-
-
-def char_fun(dist: DistSpec, x: float) -> complex:
-    """E[exp(ixU)] in closed form; principal square root throughout."""
-    return dist.char_fun(x)
 
 
 def moment_quadrature(dist: DistSpec, n: int,
@@ -281,7 +277,7 @@ def convolution_factorization_check(t: float, x_points: Sequence[float],
     for x in x_points:
         root = cmath.sqrt(1.0 - 2.0j * t * x)
         psi = cmath.exp((1.0 - root) / t) / root
-        product = char_fun(gamma_part, x) * char_fun(dilated_part, x)
+        product = gamma_part.char_fun(x) * dilated_part.char_fun(x)
         out.append(make_report("char", f"char x={x:g}", psi, product))
     return out + _convolution_reports("density ", gamma_part, dilated_part,
                                       BesselMeasure(t), u_points, cfg)
@@ -318,8 +314,7 @@ def bessel_k_half(m: int, z: float) -> float:
     return cur
 
 
-def bessel_k_quadrature(m: int, z: float,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadResult:
+def bessel_k_quadrature(m: int, z: float) -> QuadResult:
     """K_{m+1/2}(z) for m >= 0 from the integral representation
     K_p(z) = (1/2) (z/2)^p integral_0^inf exp(-v - z^2/(4v)) v^{-p-1} dv
     (DLMF 10.32.10), as an oracle independent of the recurrence."""
@@ -333,7 +328,7 @@ def bessel_k_quadrature(m: int, z: float,
     def integrand(v: float) -> float:
         return math.exp(-v - c / v - (p + 1.0) * math.log(v))
 
-    r = integrate_half_line(integrand, cfg)
+    r = integrate_half_line(integrand)
     scale = 0.5 * (0.5 * z) ** p
     return QuadResult(scale * r.value, scale * r.error)
 

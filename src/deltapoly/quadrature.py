@@ -11,8 +11,9 @@ levels within rel_tol of each other stop the refinement, and the last
 difference is reported as the error estimate. A level with fewer than
 _MIN_SIGNIFICANT non-tiny terms is never accepted: where every node misses
 the integrand's mass, two all-zero levels would agree on 0. A level sum
-beyond the float range raises OverflowError at once. Complex-valued
-integrands work unchanged.
+beyond the float range raises OverflowError at once; only the coarsest
+one, h = 1, may be infinite, and it then fails the first comparison.
+Complex-valued integrands work unchanged.
 """
 
 from __future__ import annotations
@@ -118,20 +119,17 @@ def _interval_sum(f: Callable[[float], float], a: float, b: float, h: float):
 
 def _refine(level_sum: Callable[[float], tuple[float, int]], cfg: QuadratureConfig,
             what: str) -> QuadResult:
-    def finite_sum(h: float) -> tuple[float, int]:
-        total, significant = level_sum(h)
-        if abs(total) == math.inf:  # later levels could only compare inf with inf
-            raise OverflowError(f"{what}: a level sum exceeds the float range")
-        return total, significant
-
     h = 1.0
-    prev, _ = finite_sum(h)
+    prev, _ = level_sum(h)  # may be infinite: one node can overflow at h = 1
     err = math.inf
     for _ in range(_MAX_LEVELS):
         h *= 0.5
-        cur, significant = finite_sum(h)
-        err = abs(cur - prev)
-        if err <= cfg.rel_tol * max(abs(cur), abs(prev)) and significant >= _MIN_SIGNIFICANT:
+        cur, significant = level_sum(h)
+        if abs(cur) == math.inf:  # later levels could only compare inf with inf
+            raise OverflowError(f"{what}: a level sum exceeds the float range")
+        err = abs(cur - prev)  # inf after an infinite first level: not converged
+        if (err < math.inf and err <= cfg.rel_tol * max(abs(cur), abs(prev))
+                and significant >= _MIN_SIGNIFICANT):
             return QuadResult(cur, err)
         prev = cur
     detail = (f"error estimate {err:.3e}" if significant >= _MIN_SIGNIFICANT

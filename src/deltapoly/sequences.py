@@ -20,7 +20,6 @@ from .distributions import (
     make_report,
     moment_quadrature,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .series import poly_eval
 
 
@@ -95,8 +94,7 @@ def generate(seq_id: str, count: int, method: str = "closed") -> list[int]:
     return out
 
 
-def crosscheck(seq_id: str, count: int,
-               cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[Report]:
+def crosscheck(seq_id: str, count: int) -> list[Report]:
     """Exact terms against quadrature moments of the matching law."""
     terms = generate(seq_id, count)
     spec = _BY_ID[seq_id]
@@ -106,7 +104,7 @@ def crosscheck(seq_id: str, count: int,
     scale = float(spec.scale)
     out = []
     for n in range(count):
-        q = moment_quadrature(law, n + spec.shift, cfg)
+        q = moment_quadrature(law, n + spec.shift)
         out.append(make_report("crosscheck", f"{seq_id} n={n}", float(terms[n]),
                                q.value * scale, q.error * scale))
     return out

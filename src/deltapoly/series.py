@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-#: Default truncation order for power-series constructions.
-DEFAULT_ORDER = 32
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -66,10 +63,10 @@ class Poly:
         self.coeffs = _strip(coeffs)
 
     @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "Poly":
+    def monomial(cls, power: int) -> "Poly":
         if power < 0:
             raise ValueError("power must be >= 0")
-        return cls([0] * power + [coeff])
+        return cls([0] * power + [1])
 
     @property
     def degree(self) -> int:
@@ -86,36 +83,8 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    def __sub__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[i + j] += a * b
-            return Poly(out)
+        """Scalar multiple by an int or a Fraction."""
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
             return Poly([s * c for c in self.coeffs])

@@ -70,15 +70,15 @@ class CriterionResult:
     detail: str
 
 
-def random_triples(count: int, seed: int, max_p: int = 3) -> list[AbTriple]:
-    """Seeded draws of AbTriple with numerators and denominators <= 5."""
+def random_triples(count: int, seed: int) -> list[AbTriple]:
+    """Seeded draws of AbTriple with numerators and denominators <= 5, p <= 3."""
     rng = random.Random(seed)
     nonzero = [v for v in range(-5, 6) if v != 0]
     out = []
     for _ in range(count):
         a = Fraction(rng.choice(nonzero), rng.randint(1, 5))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        out.append(AbTriple(a, b, rng.randint(1, max_p)))
+        out.append(AbTriple(a, b, rng.randint(1, 3)))
     return out
 
 

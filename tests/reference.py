@@ -7,11 +7,26 @@ the library builds the same objects by faster routes.
 import cmath
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from deltapoly.delta import DeltaOperator
 from deltapoly.distributions import density
 from deltapoly.quadrature import DEFAULT_CONFIG
 from deltapoly.series import FormalPowerSeries, Poly
+
+
+def poly_add(p, q):
+    """Coefficientwise sum."""
+    return Poly([a + b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0)])
+
+
+def poly_mul(p, q):
+    """Cauchy product: [t^k] pq = sum_{i+j=k} p_i q_j."""
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
 
 
 def poly_diff(p):

@@ -168,9 +168,6 @@ def test_domain_error_exits_two(capsys):
     pytest.param("gamma", "1", 200, "GammaHalf(t=1.0)", id="gamma-GammaHalf"),
     # y_121(4) is about 1e309, past the float maximum
     pytest.param("bessel", "4", 121, "BesselMeasure(t=4.0)", id="bessel-t4-n121"),
-    # w_151(1) = 1.02e307 is not, but on the first level (h = 1) one weighted
-    # node, f(u) (pi/2) cosh(w) u at u = 298, is
-    pytest.param("ig", "1", 151, "InverseGaussian(t=1.0)", id="ig-t1-n151"),
 ])
 def test_moment_overflow_names_n_and_the_law(capsys, dist, t, n, law):
     code, out, err = run(capsys, "moments", "--dist", dist, "--t", t, "--n", str(n))
@@ -183,6 +180,10 @@ def test_moment_overflow_names_n_and_the_law(capsys, dist, t, n, law):
 @pytest.mark.parametrize("dist,t,n,exact", [
     pytest.param("ig", "1", 150, poly_eval(basic_sequence_closed(CARLITZ, 150)[150], 1),
                  id="ig-t1-n150"),
+    # w_151(1) = 1.02e307; one weighted node of the first level, h = 1, overflows
+    # (f(u) (pi/2) cosh(w) u at u = 298), the finer levels do not
+    pytest.param("ig", "1", 151, poly_eval(basic_sequence_closed(CARLITZ, 151)[151], 1),
+                 id="ig-t1-n151"),
     # (2n-1)!! = 299!! is 3.8e306, just below the float maximum
     pytest.param("gamma", "1", 150, math.prod(range(1, 300, 2)), id="gamma-t1-n150"),
     pytest.param("bessel", "4", 120, poly_eval(bessel_poly(120)[120], 4), id="bessel-t4-n120"),
@@ -239,6 +240,9 @@ def test_unknown_oeis_id_rejected_by_parser(capsys):
     (["factorization-check", "--t", "1", "--u-points", ","], "--u-points"),
     (["factorization-check", "--t", "1", "--x-points", "nan"], "--x-points"),
     (["factorization-check", "--t", "1", "--x-points=1,-inf"], "--x-points"),
+    # finite but not above machine epsilon: refused by the parser, which names the flag
+    (["moments", "--dist", "ig", "--t", "1", "--n", "2", "--quad-tol", "1e-17"], "--quad-tol"),
+    (["kolmogorov-check", "--x", "0.3", "--quad-tol", "0"], "--quad-tol"),
 ])
 def test_non_finite_real_or_empty_list_exits_two(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,7 @@ from deltapoly.series import (
     poly_eval,
 )
 from deltapoly.verify import random_triples
-from reference import closed_w, forward_difference, fps_compose, poly_diff
+from reference import closed_w, forward_difference, fps_compose, poly_add, poly_diff, poly_mul
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def defining_sum(op, p):
     out, dk = Poly(), p
     for k in range(1, op.g.order + 1):
         dk = poly_diff(dk)
-        out = out + op.g[k] * dk
+        out = poly_add(out, op.g[k] * dk)
     return out
 
 
@@ -133,7 +133,7 @@ def test_generic_forward_difference_falling_factorials():
     ws = basic_sequence_generic(op, 8)
     expected = Poly([1])
     for n in range(1, 9):
-        expected = expected * Poly([-(n - 1), 1]) if n > 1 else Poly([0, 1])
+        expected = poly_mul(expected, Poly([-(n - 1), 1])) if n > 1 else Poly([0, 1])
         assert ws[n] == expected
     # and the defining relation, through apply_delta itself
     for n in range(1, 9):

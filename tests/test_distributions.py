@@ -23,7 +23,6 @@ from deltapoly.distributions import (
     InverseGaussian,
     bessel_k_half,
     bessel_k_quadrature,
-    char_fun,
     convolution_factorization_check,
     density,
     ig_sample,
@@ -128,13 +127,13 @@ def test_moment_rejects_negative_order():
 
 @pytest.mark.parametrize("dist", ALL_KINDS)
 def test_char_fun_at_zero(dist):
-    assert char_fun(dist, 0.0) == 1.0
+    assert dist.char_fun(0.0) == 1.0
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS)
 def test_char_fun_against_quadrature(dist):
     for x in (-1.0, -0.25, 0.5, 1.0):
-        closed = char_fun(dist, x)
+        closed = dist.char_fun(x)
         quad = char_fun_quadrature(dist, x)
         assert abs(closed - quad.value) < 1e-8
 
@@ -142,14 +141,14 @@ def test_char_fun_against_quadrature(dist):
 def test_char_fun_ig_closed_form():
     t, x = 1.5, 0.7
     expected = cmath.exp(t - t * cmath.sqrt(1.0 - 2.0j * x))
-    assert char_fun(InverseGaussian(t), x) == expected
+    assert InverseGaussian(t).char_fun(x) == expected
 
 
 def test_char_fun_semigroup_property():
     # exp(s - s sqrt(..)) exp(t - t sqrt(..)) = exp((s+t) - (s+t) sqrt(..))
     for x in (-0.8, 0.3, 1.0):
-        lhs = char_fun(InverseGaussian(0.5), x) * char_fun(InverseGaussian(1.5), x)
-        rhs = char_fun(InverseGaussian(2.0), x)
+        lhs = InverseGaussian(0.5).char_fun(x) * InverseGaussian(1.5).char_fun(x)
+        rhs = InverseGaussian(2.0).char_fun(x)
         assert abs(lhs - rhs) < 1e-15
 
 
@@ -204,7 +203,7 @@ def test_factorization_char_is_bessel_char():
         for x in (-1.0, 0.3, 0.9):
             root = cmath.sqrt(1.0 - 2.0j * t * x)
             psi = cmath.exp((1.0 - root) / t) / root
-            assert abs(psi - char_fun(BesselMeasure(t), x)) < 1e-14
+            assert abs(psi - BesselMeasure(t).char_fun(x)) < 1e-14
 
 
 def test_bessel_k_half_base_and_symmetry():

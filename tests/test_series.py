@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import deltapoly
 from deltapoly.delta import AbTriple, DeltaOperator, f_series
 from deltapoly.series import (
     FormalPowerSeries,
@@ -31,6 +32,11 @@ def fps_diff(f):
         raise ValueError("cannot differentiate an order-0 truncation")
     return FormalPowerSeries(
         [k * f.coeffs[k] for k in range(1, f.order + 1)], f.order - 1)
+
+
+def test_all_exports_resolve():
+    # a name deleted from its module but left in __all__ would fail `import *`
+    assert [name for name in deltapoly.__all__ if not hasattr(deltapoly, name)] == []
 
 
 def test_rational_wire_format():
