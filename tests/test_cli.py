@@ -194,7 +194,7 @@ def test_moment_at_the_top_of_the_range(capsys, dist, t, n, exact):
     assert abs(float(env["result"]["value"]) - float(exact)) <= TOL_MOMENT_REL * float(exact)
 
 
-@pytest.mark.parametrize("dist,t", [("ig", "100"), ("gamma", "1e-5")])
+@pytest.mark.parametrize("dist,t", [("ig", "1e8"), ("gamma", "1e-8")])
 def test_refused_quadrature_exits_one(capsys, dist, t):
     code, out, err = run(capsys, "moments", "--dist", dist, "--t", t, "--n", "1")
     assert code == 1
@@ -243,6 +243,8 @@ def test_unknown_oeis_id_rejected_by_parser(capsys):
     # finite but not above machine epsilon: refused by the parser, which names the flag
     (["moments", "--dist", "ig", "--t", "1", "--n", "2", "--quad-tol", "1e-17"], "--quad-tol"),
     (["kolmogorov-check", "--x", "0.3", "--quad-tol", "0"], "--quad-tol"),
+    # not below 1: the first comparison would accept any two levels
+    (["moments", "--dist", "ig", "--t", "1", "--n", "3", "--quad-tol", "10"], "--quad-tol"),
 ])
 def test_non_finite_real_or_empty_list_exits_two(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,9 @@ from deltapoly.quadrature import (
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=1e-17)
+    for rel_tol in (1e-17, 1.0):
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tol=rel_tol)
 
 
 def test_half_line_exponential():
@@ -91,12 +92,22 @@ def test_level_without_significant_nodes_is_refused(integrate):
 ])
 def test_overflowing_level_sum_raises_at_once(integrate):
     # every term is finite, their sum is not; refinement would compare inf with inf.
-    # The first level, h = 1, may be infinite, so the second one, h = 1/2, raises:
-    # at most 13 + 27 nodes
+    # The first level, h = 1/2, raises: the centre node and three per side
     calls = []
     with pytest.raises(OverflowError, match="level sum exceeds the float range"):
         integrate(lambda u: calls.append(u) or 1e308)
-    assert len(calls) <= 40
+    assert len(calls) <= 7
+
+
+@pytest.mark.parametrize("integrate", [
+    integrate_half_line,
+    lambda f: integrate_interval(f, 0.0, 3.0),
+])
+def test_no_node_is_evaluated_twice(integrate):
+    # the levels are nested: each one evaluates only the nodes that are new at its step
+    calls = []
+    integrate(lambda u: calls.append(u) or math.exp(-u))
+    assert len(calls) == len(set(calls))
 
 
 def test_mass_far_from_every_node_is_refused():
